@@ -33,8 +33,10 @@ use std::time::{Duration, Instant};
 use tg_transfer::{DecompArm, Labels, LogMe};
 use tg_zoo::{DatasetId, Modality, ModelId, ModelZoo};
 
-use crate::config::Representation;
-use crate::store::{ArtifactStore, DiskStats, PersistStats, StoreOptions};
+use crate::config::{EvalOptions, Representation};
+use crate::evaluate::EvalOutcome;
+use crate::store::{ArtifactStore, DiskStats, OutcomeKey, PersistStats, StoreOptions};
+use crate::strategy::Strategy;
 
 /// Pipeline stages the workbench attributes wall-clock time to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -523,6 +525,36 @@ impl<'z> Workbench<'z> {
                 tg_linalg::distance::correlation_similarity(&ea, &eb)
             })
         })
+    }
+
+    /// The outcome of `strategy` on `target` under `opts`. For a
+    /// strategy that [learns a graph](Strategy::learns_graph) it is
+    /// memoized as an
+    /// [`ArtifactKind::Outcome`](crate::store::ArtifactKind::Outcome)
+    /// artifact: memory tier, then the disk tier, then `compute`, whose
+    /// result is inserted (first insert wins, so every caller of one key
+    /// shares one `Arc`). Other strategies recompute from the warm
+    /// collection caches in milliseconds, so they skip the memo and
+    /// `compute` runs every time.
+    ///
+    /// `compute` must return what [`evaluate`](crate::evaluate::evaluate)
+    /// returns for these arguments — the memo is only sound because
+    /// outcomes are pure functions of (zoo, target, strategy, options).
+    /// If `compute` unwinds, nothing is inserted.
+    pub fn outcome(
+        &self,
+        strategy: &Strategy,
+        target: DatasetId,
+        opts: &EvalOptions,
+        compute: impl FnOnce() -> Arc<EvalOutcome>,
+    ) -> Arc<EvalOutcome> {
+        if !strategy.learns_graph() {
+            return compute();
+        }
+        let key = OutcomeKey::new(target, strategy, opts);
+        self.store
+            .outcome
+            .get_or_insert_with(key, self.store.disk_enabled(), compute)
     }
 
     /// Pre-computes LogME for every (model, target-dataset) pair of a

@@ -1,6 +1,7 @@
 //! Request coalescing for the serving layer: concurrent recommendations
-//! for the same `(zoo fingerprint, target, strategy)` collapse into one
-//! Workbench pass.
+//! for the same `(zoo fingerprint, target, strategy, options)` collapse
+//! into one Workbench pass, and a repeat of an answered graph-learning
+//! one is a single store lookup.
 //!
 //! A recommendation service sees bursts of identical work: many clients
 //! asking for the same target's ranking at once (a fresh dataset just
@@ -18,13 +19,22 @@
 //! that arrive just behind it — worth it when the pass itself is much more
 //! expensive than the window (cold caches), a no-op default otherwise.
 //!
+//! Passes of graph-learning strategies sit behind the outcome memo
+//! ([`Workbench::outcome`](crate::artifacts::Workbench::outcome), the
+//! store's [`ArtifactKind::Outcome`](crate::store::ArtifactKind::Outcome)
+//! cache): a request first looks its key up there and only elects a
+//! leader on a miss. The leader's outcome is inserted into the memo
+//! *before* the pass is published and retired, so a request arriving
+//! after the burst always finds it — no second pass for the same key.
+//!
 //! Locks here sit at rank `coalesce` (see `crate::sync` and
 //! `tg-check.toml`): the cell mutex is only ever held for state flips and
 //! waits, never across the evaluation itself, so the store/cache ranks
 //! below are reached with no coalescing lock held. If a leader panics
 //! mid-pass, a drop guard marks the cell abandoned and wakes every
 //! follower, which then fall back to evaluating directly — a lost
-//! optimisation, never a hang.
+//! optimisation, never a hang — and the unwind skips the memo insert,
+//! so an abandoned pass leaves nothing behind.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,13 +46,15 @@ use tg_zoo::DatasetId;
 use crate::config::EvalOptions;
 use crate::evaluate::{evaluate, EvalOutcome};
 use crate::registry::ZooHandle;
+use crate::store::OutcomeKey;
 use crate::strategy::Strategy;
 use crate::sync::{rank_guard, unpoisoned, Rank};
 
-/// One coalescing key: zoo fingerprint, target dataset, strategy label.
-/// The strategy is part of the key because different strategies produce
-/// different rankings — only *identical* work may share a pass.
-type PassKey = (u64, DatasetId, String);
+/// One coalescing key: the zoo fingerprint plus the memo's own
+/// [`OutcomeKey`] (target, strategy label, options digest). Everything
+/// `evaluate` reads is in the key — only *identical* work may share a
+/// pass.
+type PassKey = (u64, OutcomeKey);
 
 /// State of one in-flight pass.
 enum PassState {
@@ -141,10 +153,12 @@ impl Coalescer {
     }
 
     /// Evaluates `strategy` on `target` over `handle`'s workbench,
-    /// coalescing with any concurrent call carrying the same
-    /// `(fingerprint, target, strategy label)` key. Exactly one caller per
-    /// burst computes; everyone receives the same `Arc`'d outcome,
-    /// bit-identical to an uncoalesced [`evaluate`] call.
+    /// serving a repeat of a graph-learning strategy from the outcome
+    /// memo and coalescing concurrent
+    /// misses carrying the same `(fingerprint, target, strategy label,
+    /// options)` key. Exactly one caller per burst computes; everyone
+    /// receives the same `Arc`'d outcome, bit-identical to an uncoalesced
+    /// [`evaluate`] call.
     pub fn evaluate(
         &self,
         handle: &ZooHandle,
@@ -152,7 +166,46 @@ impl Coalescer {
         target: DatasetId,
         opts: &EvalOptions,
     ) -> Arc<EvalOutcome> {
-        let key: PassKey = (handle.fingerprint(), target, strategy.label());
+        let wb = handle.workbench();
+        self.evaluate_with(handle, strategy, target, opts, || {
+            evaluate(wb, strategy, target, opts)
+        })
+    }
+
+    /// [`evaluate`](Coalescer::evaluate) with the evaluation itself
+    /// supplied by the caller, so tests can count or fail it.
+    fn evaluate_with(
+        &self,
+        handle: &ZooHandle,
+        strategy: &Strategy,
+        target: DatasetId,
+        opts: &EvalOptions,
+        compute: impl FnOnce() -> EvalOutcome,
+    ) -> Arc<EvalOutcome> {
+        let key: PassKey = (
+            handle.fingerprint(),
+            OutcomeKey::new(target, strategy, opts),
+        );
+        // A leader parks its guard here instead of publishing inside the
+        // pass: dropping it after `outcome` returns means the memo holds
+        // the result before the pass retires.
+        let mut leader = None;
+        let outcome = handle.workbench().outcome(strategy, target, opts, || {
+            self.pass(key, &mut leader, compute)
+        });
+        drop(leader); // publishes Done, wakes followers, retires the key
+        outcome
+    }
+
+    /// Leads or follows the pass for `key` (a memo miss). A leader hands
+    /// its armed guard back through `leader`; if the evaluation unwinds
+    /// first, the guard drops here and abandons the pass instead.
+    fn pass<'a>(
+        &'a self,
+        key: PassKey,
+        leader: &mut Option<LeaderGuard<'a>>,
+        compute: impl FnOnce() -> EvalOutcome,
+    ) -> Arc<EvalOutcome> {
         let (cell, is_leader) = {
             let _rank = rank_guard(Rank::Coalesce);
             let mut passes = unpoisoned(self.passes.lock());
@@ -176,8 +229,8 @@ impl Coalescer {
             // on the condvar forever.
             let mut guard = LeaderGuard {
                 coalescer: self,
-                key: &key,
-                cell: &cell,
+                key,
+                cell,
                 outcome: None,
             };
             if !self.window.is_zero() {
@@ -185,9 +238,9 @@ impl Coalescer {
             }
             // No coalescing lock is held here: the evaluation reaches the
             // store/cache ranks with a clean stack.
-            let outcome = Arc::new(evaluate(handle.workbench(), strategy, target, opts));
+            let outcome = Arc::new(compute());
             guard.outcome = Some(Arc::clone(&outcome));
-            drop(guard); // publishes Done, wakes followers, retires the key
+            *leader = Some(guard);
             outcome
         } else {
             self.followers.fetch_add(1, Ordering::Relaxed);
@@ -210,7 +263,7 @@ impl Coalescer {
             // The leader unwound without a result; compute directly. Same
             // deterministic function, so the burst still agrees bitwise.
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            Arc::new(evaluate(handle.workbench(), strategy, target, opts))
+            Arc::new(compute())
         }
     }
 }
@@ -219,8 +272,8 @@ impl Coalescer {
 /// before setting `outcome`) exactly once, on drop.
 struct LeaderGuard<'a> {
     coalescer: &'a Coalescer,
-    key: &'a PassKey,
-    cell: &'a Arc<PassCell>,
+    key: PassKey,
+    cell: Arc<PassCell>,
     outcome: Option<Arc<EvalOutcome>>,
 }
 
@@ -238,7 +291,7 @@ impl Drop for LeaderGuard<'_> {
         // Retire the key so the next burst starts a fresh pass. Taking the
         // map after the cell is equal-rank nesting (both `coalesce`).
         let _rank = rank_guard(Rank::Coalesce);
-        unpoisoned(self.coalescer.passes.lock()).remove(self.key);
+        unpoisoned(self.coalescer.passes.lock()).remove(&self.key);
     }
 }
 
@@ -246,6 +299,7 @@ impl Drop for LeaderGuard<'_> {
 mod tests {
     use super::*;
     use crate::registry::{RegistryOptions, ZooRegistry};
+    use crate::store::{ArtifactKind, TierKind};
     use tg_zoo::{Modality, ZooConfig};
 
     fn setup(seed: u64) -> (ZooRegistry, Strategy, EvalOptions) {
@@ -326,13 +380,128 @@ mod tests {
         assert_eq!(coalescer.stats().leaders, 2);
     }
 
+    /// Memory-tier entries of the handle's outcome memo.
+    fn memo_entries(handle: &ZooHandle) -> u64 {
+        handle
+            .store()
+            .tier_stats()
+            .into_iter()
+            .filter(|(kind, tier, _)| *kind == ArtifactKind::Outcome && *tier == TierKind::Memory)
+            .map(|(_, _, s)| s.entries)
+            .sum()
+    }
+
+    /// A stand-in outcome, so memo tests need not pay for a real
+    /// graph-learning evaluation.
+    fn fake_outcome(target: DatasetId, score: f64) -> EvalOutcome {
+        EvalOutcome {
+            dataset: target,
+            strategy: Strategy::transfer_graph_default().label(),
+            predictions: vec![score],
+            ground_truth: vec![0.5],
+            models: vec![tg_zoo::ModelId(0)],
+            pearson: None,
+            spearman: None,
+            top5_accuracy: 0.5,
+        }
+    }
+
+    #[test]
+    fn repeat_of_a_graph_strategy_is_served_from_the_memo() {
+        let (registry, _, opts) = setup(306);
+        let handle = registry.get_or_build(&ZooConfig::small(306));
+        let target = handle.zoo().targets_of(Modality::Image)[0];
+        let tg = Strategy::transfer_graph_default();
+        let coalescer = Coalescer::new(Duration::ZERO);
+        let first =
+            coalescer.evaluate_with(&handle, &tg, target, &opts, || fake_outcome(target, 0.25));
+        assert!(
+            unpoisoned(coalescer.passes.lock()).is_empty(),
+            "completed passes are retired"
+        );
+        let second = coalescer.evaluate_with(&handle, &tg, target, &opts, || {
+            panic!("a repeat must not evaluate")
+        });
+        assert!(Arc::ptr_eq(&first, &second), "the repeat is the memo entry");
+        assert_eq!(coalescer.stats().leaders, 1, "no second pass");
+        assert_eq!(memo_entries(&handle), 1);
+        // Other options are another key: evaluated, and memoized apart.
+        let other = EvalOptions {
+            seed: opts.seed + 1,
+            ..opts.clone()
+        };
+        let third =
+            coalescer.evaluate_with(&handle, &tg, target, &other, || fake_outcome(target, 0.75));
+        assert_eq!(third.predictions, vec![0.75]);
+        assert_eq!(memo_entries(&handle), 2);
+    }
+
+    #[test]
+    fn different_options_never_coalesce() {
+        let (registry, _, opts) = setup(307);
+        let handle = registry.get_or_build(&ZooConfig::small(307));
+        let target = handle.zoo().targets_of(Modality::Image)[0];
+        // Random scores depend on the evaluation seed alone, so a request
+        // that joined the other seed's pass would get the wrong ranking.
+        let strategy = Strategy::Random;
+        let other = EvalOptions {
+            seed: opts.seed + 1,
+            ..opts.clone()
+        };
+        // A wide window: both calls overlap, so only the key keeps them
+        // apart.
+        let coalescer = Coalescer::new(Duration::from_millis(300));
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| coalescer.evaluate(&handle, &strategy, target, &opts));
+            let b = scope.spawn(|| coalescer.evaluate(&handle, &strategy, target, &other));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let stats = coalescer.stats();
+        assert_eq!((stats.leaders, stats.followers), (2, 0));
+        let direct = |o: &EvalOptions| evaluate(handle.workbench(), &strategy, target, o);
+        assert_eq!(a.predictions, direct(&opts).predictions);
+        assert_eq!(b.predictions, direct(&other).predictions);
+        assert_ne!(a.predictions, b.predictions);
+    }
+
+    #[test]
+    fn panicking_leader_abandons_its_pass_and_memoizes_nothing() {
+        let (registry, _, opts) = setup(308);
+        let handle = registry.get_or_build(&ZooConfig::small(308));
+        let target = handle.zoo().targets_of(Modality::Image)[0];
+        let tg = Strategy::transfer_graph_default();
+        let coalescer = Coalescer::new(Duration::ZERO);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            coalescer.evaluate_with(&handle, &tg, target, &opts, || {
+                panic!("evaluation failed mid-pass")
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            unpoisoned(coalescer.passes.lock()).is_empty(),
+            "the abandoned key is retired"
+        );
+        assert_eq!(
+            memo_entries(&handle),
+            0,
+            "an abandoned leader inserts nothing"
+        );
+        // The same key is computed afresh next time, and memoized then.
+        let ok = coalescer.evaluate_with(&handle, &tg, target, &opts, || fake_outcome(target, 0.5));
+        assert_eq!(ok.predictions, vec![0.5]);
+        assert_eq!(memo_entries(&handle), 1);
+    }
+
     #[test]
     fn abandoned_leader_wakes_followers_into_fallback() {
         let (registry, strategy, opts) = setup(305);
         let handle = registry.get_or_build(&ZooConfig::small(305));
         let target = handle.zoo().targets_of(Modality::Image)[0];
         let coalescer = Coalescer::new(Duration::ZERO);
-        let key: PassKey = (handle.fingerprint(), target, strategy.label());
+        let key: PassKey = (
+            handle.fingerprint(),
+            OutcomeKey::new(target, &strategy, &opts),
+        );
 
         // Simulate a leader that unwinds mid-pass: publish a pending cell,
         // then drop the guard with no outcome attached.
@@ -348,8 +517,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
             drop(LeaderGuard {
                 coalescer: &coalescer,
-                key: &key,
-                cell: &cell,
+                key: key.clone(),
+                cell: Arc::clone(&cell),
                 outcome: None,
             });
             let outcome = waiter.join().unwrap();

@@ -108,6 +108,46 @@ impl Default for EvalOptions {
     }
 }
 
+impl EvalOptions {
+    /// A fixed-width, collision-free digest of every field: the options
+    /// part of an outcome memo key ([`crate::store::OutcomeKey`]). Word 0
+    /// packs the four enum tags one byte each; words 1–3 carry
+    /// `history_ratio`'s bits, `embed_dim` and `seed` verbatim, so two
+    /// options digest equal exactly when they are equal field by field.
+    pub fn digest(&self) -> [u64; 4] {
+        // Destructured so a new field fails to compile until it is added
+        // to the digest (an undigested field would alias memo keys).
+        let EvalOptions {
+            train_method,
+            eval_method,
+            history_ratio,
+            edge_source,
+            representation,
+            embed_dim,
+            seed,
+        } = self;
+        let method = |m: &FineTuneMethod| match m {
+            FineTuneMethod::Full => 0u64,
+            FineTuneMethod::Lora => 1,
+        };
+        let edges = match edge_source {
+            EdgeSource::Both => 0u64,
+            EdgeSource::AccuracyOnly => 1,
+            EdgeSource::TransferabilityOnly => 2,
+        };
+        let rep = match representation {
+            Representation::DomainSimilarity => 0u64,
+            Representation::Task2Vec => 1,
+        };
+        [
+            method(train_method) | (method(eval_method) << 8) | (edges << 16) | (rep << 24),
+            history_ratio.to_bits(),
+            *embed_dim as u64,
+            *seed,
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,5 +173,52 @@ mod tests {
         assert_eq!(o.embed_dim, 128);
         assert_eq!(o.history_ratio, 1.0);
         assert_eq!(o.edge_source, EdgeSource::Both);
+    }
+
+    #[test]
+    fn digest_separates_every_field() {
+        let base = EvalOptions::default();
+        let variants = [
+            EvalOptions {
+                train_method: FineTuneMethod::Lora,
+                ..base.clone()
+            },
+            EvalOptions {
+                eval_method: FineTuneMethod::Lora,
+                ..base.clone()
+            },
+            EvalOptions {
+                history_ratio: 0.5,
+                ..base.clone()
+            },
+            EvalOptions {
+                edge_source: EdgeSource::AccuracyOnly,
+                ..base.clone()
+            },
+            EvalOptions {
+                edge_source: EdgeSource::TransferabilityOnly,
+                ..base.clone()
+            },
+            EvalOptions {
+                representation: Representation::Task2Vec,
+                ..base.clone()
+            },
+            EvalOptions {
+                embed_dim: 64,
+                ..base.clone()
+            },
+            EvalOptions {
+                seed: base.seed + 1,
+                ..base.clone()
+            },
+        ];
+        let mut digests = vec![base.digest()];
+        digests.extend(variants.iter().map(EvalOptions::digest));
+        for (i, a) in digests.iter().enumerate() {
+            for b in &digests[i + 1..] {
+                assert_ne!(a, b, "two distinct options share a digest");
+            }
+        }
+        assert_eq!(base.digest(), EvalOptions::default().digest());
     }
 }

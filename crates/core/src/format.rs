@@ -384,8 +384,10 @@ impl ArtifactView {
     /// Finds the record whose encoded key equals `key` and returns its
     /// *value* bytes (the record suffix past the key). Binary-searches
     /// the hash index, then confirms candidates by comparing encoded
-    /// key bytes — keys of one artifact kind have a fixed encoded
-    /// width, so a prefix match is exact equality.
+    /// key bytes — key encodings are self-delimiting (fixed width, or
+    /// length-prefixed like the Outcome kind's label), so no key's
+    /// encoding is a proper prefix of another's and a prefix match is
+    /// exact equality.
     pub(crate) fn lookup(&self, key: &[u8]) -> Option<&[u8]> {
         let target = key_hash(key);
         let mut lo = 0usize;

@@ -25,8 +25,9 @@
 //!   cached artifact is a pure function of the zoo, an evicted-then-rebuilt
 //!   zoo returns bit-identical predictions — with a disk tier it even skips
 //!   recomputation.
-//! * **Telemetry** — resident count/bytes, route hits/misses, builds and
-//!   evictions ([`RegistryStats`]), threaded into the runner's
+//! * **Telemetry** — resident count/bytes, route hits/misses, builds,
+//!   evictions and the outcome memo's tier counters ([`RegistryStats`]),
+//!   threaded into the runner's
 //!   [`RunSummary`](crate::runner::RunSummary) by the bench harness.
 //!
 //! Single-zoo callers are just the N=1 case: `tg_bench` binaries obtain
@@ -44,7 +45,10 @@ use crate::artifacts::Workbench;
 use crate::config::Representation;
 use crate::inductive::{InductiveConfig, InductiveEmbedder};
 use crate::shard::{ShardConfig, ShardMap};
-use crate::store::{dir_from_env, mmap_from_env, ArtifactStore, PersistStats, StoreOptions};
+use crate::store::{
+    dir_from_env, mmap_from_env, ArtifactKind, ArtifactStore, PersistStats, StoreOptions, TierKind,
+    TierStats,
+};
 use crate::sync::{rank_guard, unpoisoned, Rank};
 
 /// Environment variable bounding the number of resident zoos. Unset, empty
@@ -194,6 +198,14 @@ pub struct RegistryStats {
     pub resident_owned: u64,
     /// Resident zoos served read-only on behalf of other slots.
     pub resident_foreign: u64,
+    /// Memory tier of the outcome memo
+    /// ([`ArtifactKind::Outcome`]), summed over resident zoos. Its
+    /// misses count every request that missed the memo, followers of a
+    /// coalesced pass included.
+    pub outcome_memory: TierStats,
+    /// Disk tier of the outcome memo, summed over resident zoos with a
+    /// warm outcome file: hits are outcomes served from persisted files.
+    pub outcome_disk: TierStats,
 }
 
 impl RegistryStats {
@@ -484,18 +496,35 @@ impl ZooRegistry {
 
     /// Telemetry snapshot.
     pub fn stats(&self) -> RegistryStats {
-        let (resident, resident_bytes, resident_owned, resident_foreign) = {
+        let (handles, resident_owned) = {
             let _rank = rank_guard(Rank::Registry);
             let inner = unpoisoned(self.inner.lock());
-            let bytes = inner
+            let handles: Vec<Arc<ZooHandle>> = inner
                 .resident
                 .values()
-                .map(|r| r.handle.resident_bytes())
-                .sum();
+                .map(|r| Arc::clone(&r.handle))
+                .collect();
             let owned = inner.resident.keys().filter(|&&fp| self.owns(fp)).count() as u64;
-            let total = inner.resident.len() as u64;
-            (total, bytes, owned, total - owned)
+            (handles, owned)
         };
+        // Sized and summed outside the registry lock: both walk every
+        // cache of every resident store.
+        let resident = handles.len() as u64;
+        let resident_bytes = handles.iter().map(|h| h.resident_bytes()).sum();
+        let (mut outcome_memory, mut outcome_disk) = (TierStats::default(), TierStats::default());
+        for handle in &handles {
+            for (tier, s) in handle.store().kind_tier_stats(ArtifactKind::Outcome) {
+                let sum = if tier == TierKind::Memory {
+                    &mut outcome_memory
+                } else {
+                    &mut outcome_disk
+                };
+                sum.hits += s.hits;
+                sum.misses += s.misses;
+                sum.entries += s.entries;
+                sum.bytes += s.bytes;
+            }
+        }
         RegistryStats {
             resident,
             resident_bytes,
@@ -506,7 +535,9 @@ impl ZooRegistry {
             shard_slots: self.shard_map.slots() as u64,
             shard_self: self.self_slot as u64,
             resident_owned,
-            resident_foreign,
+            resident_foreign: resident - resident_owned,
+            outcome_memory,
+            outcome_disk,
         }
     }
 

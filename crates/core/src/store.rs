@@ -3,7 +3,9 @@
 //!
 //! The paper observes that feature collection (Fig. 5, steps ①–④) "can be
 //! achieved offline": LogME scores, probe embeddings and pairwise
-//! similarities are pure functions of the zoo. The store exploits that with
+//! similarities are pure functions of the zoo — and so is a whole
+//! leave-one-out [`EvalOutcome`], given its target, strategy and
+//! [`EvalOptions`]. The store exploits that with
 //! a memory tier plus an optional disk tier behind the internal `Tier`
 //! abstraction (`crates/core/src/tier.rs`):
 //!
@@ -52,8 +54,10 @@ use std::sync::Arc;
 use tg_zoo::{DatasetId, ModelId};
 
 use crate::artifacts::Telemetry;
-use crate::config::Representation;
+use crate::config::{EvalOptions, Representation};
+use crate::evaluate::EvalOutcome;
 use crate::format::{encode_v2, ArtifactView, Backing, MAGIC_V1, MAGIC_V2};
+use crate::strategy::Strategy;
 use crate::sync::LockFile;
 use crate::tier::{DecodedTier, MappedTier, TieredCache};
 pub use crate::tier::{TierKind, TierStats};
@@ -77,8 +81,10 @@ pub const ARTIFACT_MMAP_ENV: &str = "TG_ARTIFACT_MMAP";
 /// Implementations must be injective and self-delimiting: `decode` consumes
 /// exactly the bytes `encode` produced and returns `None` on truncation or
 /// an invalid tag (the caller then discards the whole file). Every
-/// encoding is a whole number of u64 words — that is what keeps `TGARTv2`
-/// payload records 8-byte aligned for free.
+/// encoding is a whole, nonzero number of u64 words — that is what keeps
+/// `TGARTv2` payload records 8-byte aligned for free, and what lets a
+/// decoder bound a length-prefixed sequence by the bytes left before
+/// allocating for it.
 pub trait DiskCodec: Sized {
     /// Appends the little-endian encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -149,23 +155,80 @@ impl DiskCodec for Representation {
 
 impl DiskCodec for Arc<[f64]> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        for v in self.iter() {
-            v.encode(out);
-        }
+        encode_slice(self, out);
     }
     fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let len = u64::decode(buf, pos)? as usize;
-        // A length that exceeds the remaining bytes marks a truncated or
-        // corrupted file; bail before attempting a huge allocation.
+        Vec::<f64>::decode(buf, pos).map(Arc::from)
+    }
+}
+
+/// Length-prefixed UTF-8, zero-padded to a whole word. Decoding refuses
+/// nonzero padding and invalid UTF-8, so the encoding stays canonical.
+impl DiskCodec for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        out.extend_from_slice(self.as_bytes());
+        out.resize(out.len() + (8 - self.len() % 8) % 8, 0);
+    }
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let len = usize::try_from(u64::decode(buf, pos)?).ok()?;
+        let padded = len.checked_add(7)? & !7;
+        let bytes = buf.get(*pos..pos.checked_add(padded)?)?;
+        let (text, pad) = bytes.split_at(len);
+        if pad.iter().any(|&b| b != 0) {
+            return None;
+        }
+        let text = std::str::from_utf8(text).ok()?.to_owned();
+        *pos += padded;
+        Some(text)
+    }
+}
+
+/// A tag word (0 = `None`, 1 = `Some`) plus the raw bits (zero for
+/// `None`): fixed width, so NaN payloads and `None` both round-trip.
+impl DiskCodec for Option<f64> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let (tag, bits) = match self {
+            None => (0u64, 0u64),
+            Some(v) => (1, v.to_bits()),
+        };
+        tag.encode(out);
+        bits.encode(out);
+    }
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        match (u64::decode(buf, pos)?, u64::decode(buf, pos)?) {
+            (0, 0) => Some(None),
+            (1, bits) => Some(Some(f64::from_bits(bits))),
+            _ => None,
+        }
+    }
+}
+
+/// A length word, then each element.
+fn encode_slice<T: DiskCodec>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u64).encode(out);
+    for v in items {
+        v.encode(out);
+    }
+}
+
+impl<T: DiskCodec> DiskCodec for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_slice(self, out);
+    }
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let len = usize::try_from(u64::decode(buf, pos)?).ok()?;
+        // Every element takes at least one word: a length beyond the
+        // remaining bytes marks a truncated or corrupted file, refused
+        // before attempting a huge allocation.
         if buf.len().saturating_sub(*pos) < len.checked_mul(8)? {
             return None;
         }
         let mut v = Vec::with_capacity(len);
         for _ in 0..len {
-            v.push(f64::decode(buf, pos)?);
+            v.push(T::decode(buf, pos)?);
         }
-        Some(Arc::from(v))
+        Some(v)
     }
 }
 
@@ -194,11 +257,95 @@ impl<A: DiskCodec, B: DiskCodec, C: DiskCodec> DiskCodec for (A, B, C) {
     }
 }
 
+/// Key of one memoized [`EvalOutcome`] within a zoo's store. The zoo is
+/// implied by the store's fingerprint; the rest of what `evaluate` reads
+/// is here: the target, the strategy (by its label, which names every
+/// servable strategy uniquely) and the [`EvalOptions::digest`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct OutcomeKey {
+    /// Target dataset.
+    pub target: DatasetId,
+    /// [`Strategy::label`] of the evaluated strategy.
+    pub strategy: String,
+    /// [`EvalOptions::digest`] of the evaluation options.
+    pub options: [u64; 4],
+}
+
+impl OutcomeKey {
+    /// The memo key of `strategy` on `target` under `opts`.
+    pub fn new(target: DatasetId, strategy: &Strategy, opts: &EvalOptions) -> OutcomeKey {
+        OutcomeKey {
+            target,
+            strategy: strategy.label(),
+            options: opts.digest(),
+        }
+    }
+}
+
+impl DiskCodec for OutcomeKey {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.target.encode(out);
+        self.strategy.encode(out);
+        for w in self.options {
+            w.encode(out);
+        }
+    }
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let target = DatasetId::decode(buf, pos)?;
+        let strategy = String::decode(buf, pos)?;
+        let mut options = [0u64; 4];
+        for w in &mut options {
+            *w = u64::decode(buf, pos)?;
+        }
+        Some(OutcomeKey {
+            target,
+            strategy,
+            options,
+        })
+    }
+}
+
+/// Every field in declaration order; the vectors and label are
+/// length-prefixed, the correlations tagged (see `Option<f64>`).
+impl DiskCodec for Arc<EvalOutcome> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.dataset.encode(out);
+        self.strategy.encode(out);
+        self.predictions.encode(out);
+        self.ground_truth.encode(out);
+        self.models.encode(out);
+        self.pearson.encode(out);
+        self.spearman.encode(out);
+        self.top5_accuracy.encode(out);
+    }
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        // Struct-expression fields evaluate in source order, which is
+        // the encoding order.
+        Some(Arc::new(EvalOutcome {
+            dataset: DatasetId::decode(buf, pos)?,
+            strategy: String::decode(buf, pos)?,
+            predictions: Vec::decode(buf, pos)?,
+            ground_truth: Vec::decode(buf, pos)?,
+            models: Vec::decode(buf, pos)?,
+            pearson: Option::decode(buf, pos)?,
+            spearman: Option::decode(buf, pos)?,
+            top5_accuracy: f64::decode(buf, pos)?,
+        }))
+    }
+}
+
+/// Version of the bits `evaluate` produces, folded into the Outcome
+/// kind's header tag. Persisted outcomes are valid only while `evaluate`
+/// is bit-stable: a change that alters any outcome bit for the same key
+/// must bump this, so files written before it are rejected at warm
+/// start instead of served.
+const OUTCOME_BITS_VERSION: u64 = 1;
+
 // ---------------------------------------------------------------------------
 // Artifact kinds
 // ---------------------------------------------------------------------------
 
-/// The four persisted artifact kinds, replacing the stringly-typed cache
+/// The five persisted artifact kinds, replacing the stringly-typed cache
 /// names of the v1 surface. The kind names the file
 /// (`{fingerprint:016x}.{file_stem}.bin`) and tags the `TGARTv2` header,
 /// so a file renamed across kinds is rejected at parse.
@@ -212,35 +359,43 @@ pub enum ArtifactKind {
     T2vEmbed,
     /// Pairwise dataset similarities per representation.
     Similarity,
+    /// Memoized leave-one-out outcomes per (target, strategy, options).
+    Outcome,
 }
 
 impl ArtifactKind {
     /// Every kind, in persist order.
-    pub const ALL: [ArtifactKind; 4] = [
+    pub const ALL: [ArtifactKind; 5] = [
         ArtifactKind::LogMe,
         ArtifactKind::DsEmbed,
         ArtifactKind::T2vEmbed,
         ArtifactKind::Similarity,
+        ArtifactKind::Outcome,
     ];
 
-    /// The file-name stem (unchanged from v1, so v1 files are found and
-    /// migrated in place).
+    /// The file-name stem (for the first four kinds unchanged from v1,
+    /// so v1 files are found and migrated in place).
     pub fn file_stem(self) -> &'static str {
         match self {
             ArtifactKind::LogMe => "logme",
             ArtifactKind::DsEmbed => "ds-embed",
             ArtifactKind::T2vEmbed => "t2v-embed",
             ArtifactKind::Similarity => "similarity",
+            ArtifactKind::Outcome => "outcome",
         }
     }
 
-    /// The kind tag written into the `TGARTv2` header.
+    /// The kind tag written into the `TGARTv2` header. The Outcome tag
+    /// carries kind 5 in its high word and, in its low word, the version
+    /// of the bits `evaluate` produces (`OUTCOME_BITS_VERSION`, bumped
+    /// whenever they change).
     pub fn tag(self) -> u64 {
         match self {
             ArtifactKind::LogMe => 1,
             ArtifactKind::DsEmbed => 2,
             ArtifactKind::T2vEmbed => 3,
             ArtifactKind::Similarity => 4,
+            ArtifactKind::Outcome => (5 << 32) | OUTCOME_BITS_VERSION,
         }
     }
 }
@@ -347,8 +502,10 @@ pub struct DiskStats {
     pub bytes_read: u64,
     /// Bytes of artifact files written by [`ArtifactStore::persist`].
     pub bytes_written: u64,
-    /// Artifact files refused at warm start: corrupt, truncated,
-    /// kind-mismatched or carrying a foreign fingerprint. A *missing*
+    /// Artifact files refused at warm start — corrupt, truncated,
+    /// kind-mismatched or carrying a foreign fingerprint — plus records
+    /// of accepted files whose key matched but whose value failed to
+    /// decode at lookup (served as a miss and recomputed). A *missing*
     /// file (plain cold start) does not count — a nonzero value here
     /// means the artifact directory holds bytes this store refused.
     pub rejected: u64,
@@ -396,6 +553,7 @@ pub struct ArtifactStore {
     pub(crate) ds_embed: TieredCache<DatasetId, Arc<[f64]>>,
     pub(crate) t2v_embed: TieredCache<DatasetId, Arc<[f64]>>,
     pub(crate) similarity: TieredCache<(Representation, DatasetId, DatasetId), f64>,
+    pub(crate) outcome: TieredCache<OutcomeKey, Arc<EvalOutcome>>,
     pub(crate) telemetry: Telemetry,
 }
 
@@ -418,6 +576,12 @@ impl ArtifactStore {
                 32 + 8 + 16 + v.len() as u64 * 8
             }),
             similarity: TieredCache::new(ArtifactKind::Similarity, |_, _| 32 + 24 + 8),
+            // A 64B key and a 160B `Arc<EvalOutcome>` (counts included),
+            // plus their labels and the three vectors.
+            outcome: TieredCache::new(ArtifactKind::Outcome, |k, v| {
+                let words = v.predictions.len() + v.ground_truth.len() + v.models.len();
+                32 + 64 + 160 + (k.strategy.len() + v.strategy.len() + words * 8) as u64
+            }),
             telemetry: Telemetry::default(),
         }
     }
@@ -494,6 +658,7 @@ impl ArtifactStore {
             + self.warm_cache(&self.ds_embed, &dir)
             + self.warm_cache(&self.t2v_embed, &dir)
             + self.warm_cache(&self.similarity, &dir)
+            + self.warm_cache(&self.outcome, &dir)
     }
 
     /// Former name of [`warm`](ArtifactStore::warm).
@@ -545,6 +710,7 @@ impl ArtifactStore {
         self.persist_cache(&self.ds_embed, &dir, &mut stats)?;
         self.persist_cache(&self.t2v_embed, &dir, &mut stats)?;
         self.persist_cache(&self.similarity, &dir, &mut stats)?;
+        self.persist_cache(&self.outcome, &dir, &mut stats)?;
         Ok(stats)
     }
 
@@ -560,49 +726,51 @@ impl ArtifactStore {
             + self.similarity.approx_bytes()
             + self.ds_embed.approx_bytes()
             + self.t2v_embed.approx_bytes()
+            + self.outcome.approx_bytes()
     }
 
     /// Snapshot of the disk-tier counters.
     pub fn disk_stats(&self) -> DiskStats {
-        let sum4 = |f: fn(&Self) -> [(u64, u64); 4], s: &Self| {
-            f(s).iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-        };
-        let (hits, misses) = sum4(
-            |s| {
-                [
-                    s.logme.disk_counters(),
-                    s.ds_embed.disk_counters(),
-                    s.t2v_embed.disk_counters(),
-                    s.similarity.disk_counters(),
-                ]
-            },
-            self,
-        );
+        let (hits, misses, rejected) = [
+            self.logme.disk_counters(),
+            self.ds_embed.disk_counters(),
+            self.t2v_embed.disk_counters(),
+            self.similarity.disk_counters(),
+            self.outcome.disk_counters(),
+        ]
+        .iter()
+        .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
         DiskStats {
             hits,
             misses,
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            rejected: self.disk_rejected.load(Ordering::Relaxed),
+            rejected: self.disk_rejected.load(Ordering::Relaxed) + rejected,
         }
     }
 
     /// Per-cache, per-tier statistics: one row per (artifact kind, tier).
     pub fn tier_stats(&self) -> Vec<(ArtifactKind, TierKind, TierStats)> {
-        let mut out = Vec::new();
-        for (t, s) in self.logme.tier_stats() {
-            out.push((ArtifactKind::LogMe, t, s));
+        ArtifactKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                self.kind_tier_stats(kind)
+                    .into_iter()
+                    .map(move |(tier, s)| (kind, tier, s))
+            })
+            .collect()
+    }
+
+    /// Per-tier statistics of one artifact kind's cache: memory first,
+    /// then the warm tier when present.
+    pub fn kind_tier_stats(&self, kind: ArtifactKind) -> Vec<(TierKind, TierStats)> {
+        match kind {
+            ArtifactKind::LogMe => self.logme.tier_stats(),
+            ArtifactKind::DsEmbed => self.ds_embed.tier_stats(),
+            ArtifactKind::T2vEmbed => self.t2v_embed.tier_stats(),
+            ArtifactKind::Similarity => self.similarity.tier_stats(),
+            ArtifactKind::Outcome => self.outcome.tier_stats(),
         }
-        for (t, s) in self.ds_embed.tier_stats() {
-            out.push((ArtifactKind::DsEmbed, t, s));
-        }
-        for (t, s) in self.t2v_embed.tier_stats() {
-            out.push((ArtifactKind::T2vEmbed, t, s));
-        }
-        for (t, s) in self.similarity.tier_stats() {
-            out.push((ArtifactKind::Similarity, t, s));
-        }
-        out
     }
 
     fn artifact_path(&self, dir: &Path, kind: ArtifactKind) -> PathBuf {
@@ -639,7 +807,7 @@ impl ArtifactStore {
             self.bytes_read
                 .fetch_add(view.warm_bytes() as u64, Ordering::Relaxed);
             let n = view.count();
-            cache.set_warm(Arc::new(MappedTier::new(view)));
+            cache.set_warm(Arc::new(MappedTier::new(view, cache.rejected_counter())));
             n
         } else {
             // Legacy TGARTv1 (or junk): decode wholesale. The next
@@ -781,6 +949,7 @@ where
 
 /// Rewrites every artifact file of `fingerprint` under `dir` in the
 /// legacy `TGARTv1` layout, returning the number of files rewritten.
+/// Only the four kinds v1 had are rewritten; Outcome files stay v2.
 ///
 /// Exists for migration testing and the `artifact` bench (which times a
 /// v1 full-decode warm start against the v2 mapped one); production code
@@ -1110,6 +1279,54 @@ mod tests {
         let s = open_in(7, &dir);
         assert_eq!(s.warm(), 4, "legitimate file still loads");
         assert!(s.disk_stats().rejected >= 1, "kind-mismatched copy counted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_records_are_rejected_and_the_count_survives_a_rewarm() {
+        let dir = temp_store_dir("badrecord");
+        let store = open_in(0x5555, &dir);
+        let key = OutcomeKey {
+            target: DatasetId(1),
+            strategy: "TG".into(),
+            options: [0; 4],
+        };
+        let outcome = Arc::new(EvalOutcome {
+            dataset: DatasetId(1),
+            strategy: "TG".into(),
+            predictions: vec![0.5],
+            ground_truth: vec![0.25],
+            models: vec![ModelId(0)],
+            pearson: None,
+            spearman: Some(1.0),
+            top5_accuracy: 0.25,
+        });
+        store
+            .outcome
+            .get_or_insert_with(key.clone(), true, || Arc::clone(&outcome));
+        store.persist().unwrap();
+
+        // Point the record's value label length word past the file's end:
+        // the file still parses, only the record is damaged.
+        let path = store.artifact_path(&dir, ArtifactKind::Outcome);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mut key_bytes = Vec::new();
+        key.encode(&mut key_bytes);
+        let at = 40 + 24 + key_bytes.len() + 8;
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let warm = open_in(0x5555, &dir);
+        assert_eq!(warm.disk_stats().rejected, 0, "the file itself parses");
+        let mut computed = false;
+        warm.outcome.get_or_insert_with(key, true, || {
+            computed = true;
+            Arc::clone(&outcome)
+        });
+        assert!(computed, "a damaged record is recomputed, not served");
+        assert_eq!(warm.disk_stats().rejected, 1);
+        warm.warm(); // replaces the mapped tier...
+        assert_eq!(warm.disk_stats().rejected, 1, "...but keeps the count");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

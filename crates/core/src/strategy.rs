@@ -97,6 +97,13 @@ impl Strategy {
         }
     }
 
+    /// Whether the strategy learns node embeddings over the zoo graph —
+    /// the `TransferGraph` family, seconds per evaluation where every
+    /// other strategy takes milliseconds on warm collection caches.
+    pub fn learns_graph(&self) -> bool {
+        matches!(self, Strategy::TransferGraph { .. })
+    }
+
     /// Validates internal consistency (e.g. `Learned` must not ask for
     /// graph features). Called by [`crate::evaluate::evaluate`].
     pub fn validate(&self) {
@@ -138,6 +145,16 @@ mod tests {
             features: FeatureSet::GraphOnly,
         };
         assert_eq!(graph_only.label(), "TG:LR,N2V");
+        assert!(graph_only.learns_graph());
+        for cheap in [
+            Strategy::Random,
+            Strategy::LogMe,
+            Strategy::HistoryNn,
+            Strategy::lr_baseline(),
+            Strategy::lr_all_logme(),
+        ] {
+            assert!(!cheap.learns_graph(), "{}", cheap.label());
+        }
     }
 
     #[test]

@@ -291,15 +291,19 @@ pub(crate) struct MappedTier<K, V> {
     view: ArtifactView,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// The owning cache's count of records found but undecodable —
+    /// shared, so it survives this tier being replaced by a re-warm.
+    rejected: Arc<AtomicU64>,
     _marker: PhantomData<fn() -> (K, V)>,
 }
 
 impl<K, V> MappedTier<K, V> {
-    pub(crate) fn new(view: ArtifactView) -> Self {
+    pub(crate) fn new(view: ArtifactView, rejected: Arc<AtomicU64>) -> Self {
         MappedTier {
             view,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            rejected,
             _marker: PhantomData,
         }
     }
@@ -323,13 +327,19 @@ where
     fn get(&self, key: &K) -> Option<V> {
         let mut kb = Vec::new();
         key.encode(&mut kb);
-        let decoded = self.view.lookup(&kb).and_then(|value_bytes| {
+        let found = self.view.lookup(&kb);
+        let decoded = found.and_then(|value_bytes| {
             let mut pos = 0;
             let v = V::decode(value_bytes, &mut pos)?;
             // A record with value bytes left over would be a codec
             // drift between writer and reader: refuse to serve it.
             (pos == value_bytes.len()).then_some(v)
         });
+        if found.is_some() && decoded.is_none() {
+            // The index vouched for the record but its bytes are
+            // damaged: count it, and let the caller recompute.
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+        }
         match decoded {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -391,6 +401,9 @@ pub(crate) struct TieredCache<K, V> {
     misses: AtomicU64,
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
+    /// Records a mapped warm tier found but could not decode; handed to
+    /// each [`MappedTier`] this cache installs.
+    disk_rejected: Arc<AtomicU64>,
 }
 
 impl<K, V> TieredCache<K, V>
@@ -407,6 +420,7 @@ where
             misses: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             disk_misses: AtomicU64::new(0),
+            disk_rejected: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -419,6 +433,12 @@ where
     pub(crate) fn warm_tier(&self) -> Option<Arc<dyn Tier<K, V>>> {
         let _rank = rank_guard(Rank::StoreShard);
         unpoisoned(self.warm.read()).clone()
+    }
+
+    /// The counter a [`MappedTier`] of this cache bumps for each record
+    /// it refuses at lookup.
+    pub(crate) fn rejected_counter(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.disk_rejected)
     }
 
     /// Installs (or replaces) the warm tier.
@@ -482,11 +502,13 @@ where
         )
     }
 
-    /// (hit, miss) counters of the warm tier fall-through.
-    pub(crate) fn disk_counters(&self) -> (u64, u64) {
+    /// (hit, miss, rejected-record) counters of the warm tier
+    /// fall-through.
+    pub(crate) fn disk_counters(&self) -> (u64, u64, u64) {
         (
             self.disk_hits.load(Ordering::Relaxed),
             self.disk_misses.load(Ordering::Relaxed),
+            self.disk_rejected.load(Ordering::Relaxed),
         )
     }
 

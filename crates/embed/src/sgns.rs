@@ -147,20 +147,19 @@ impl SgnsModel {
                             if k > 0 && target == context {
                                 continue; // skip accidental positives
                             }
+                            // `w_in` and `w_out` are separate matrices, so
+                            // the input row can be read while the output
+                            // row is borrowed mutably — no per-sample copy.
                             let vi = self.w_in.row(center);
-                            let vo = self.w_out.row(target);
-                            let dot: f64 = vi.iter().zip(vo).map(|(a, b)| a * b).sum();
+                            let vo = self.w_out.row_mut(target);
+                            let dot: f64 = vi.iter().zip(vo.iter()).map(|(a, b)| a * b).sum();
                             let pred = sigmoid(dot);
                             let g = (pred - label) * lr;
-                            // Accumulate input grad; update output row in
-                            // place.
-                            for d in 0..cfg.dim {
-                                grad_in[d] += g * vo[d];
-                            }
-                            let vi_copy: Vec<f64> = vi.to_vec();
-                            let vo_mut = self.w_out.row_mut(target);
-                            for d in 0..cfg.dim {
-                                vo_mut[d] -= g * vi_copy[d];
+                            // Accumulate the input grad from the old output
+                            // value, then update the output row in place.
+                            for ((gi, o), &x) in grad_in.iter_mut().zip(vo.iter_mut()).zip(vi) {
+                                *gi += g * *o;
+                                *o -= g * x;
                             }
                         }
                         let vi_mut = self.w_in.row_mut(center);
@@ -264,6 +263,33 @@ mod tests {
         let emb = train_sgns(&walks, 10, &cfg, &mut rng);
         let norm9 = tg_linalg::matrix::norm(emb.row(9));
         assert!(norm9 < 0.5 / 8.0 * (8.0f64).sqrt() + 1e-9);
+    }
+
+    /// FNV-1a over the little-endian bits of every embedding entry.
+    fn fnv1a_bits(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// Pins the exact output bits of `train_sgns` on a fixed corpus, so an
+    /// optimisation of the update loop cannot silently change results
+    /// (and with them every persisted outcome).
+    #[test]
+    fn train_sgns_output_bits_are_pinned() {
+        let mut rng = Rng::seed_from_u64(11);
+        let walks = community_walks(&mut rng, 40, 12);
+        let cfg = SgnsConfig {
+            dim: 16,
+            epochs: 2,
+            window: 3,
+            negatives: 4,
+            lr: 0.05,
+        };
+        let emb = train_sgns(&walks, 7, &cfg, &mut rng);
+        assert_eq!(fnv1a_bits(emb.as_slice()), 0xb34a_2fe5_9bc4_ea7d);
     }
 
     #[test]

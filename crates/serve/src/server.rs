@@ -12,11 +12,19 @@
 //! Concurrent `POST /recommend` requests for the same
 //! `(zoo fingerprint, target, strategy)` key coalesce into a single
 //! Workbench pass via [`transfergraph::Coalescer`]; the optional batch
-//! window (`TG_SERVE_BATCH_WINDOW_MS`) widens each burst.
+//! window (`TG_SERVE_BATCH_WINDOW_MS`) widens each burst. A repeat of an
+//! answered `tg` key is served from the zoo's outcome memo without a
+//! pass.
+//!
+//! Each request runs inside an unwind boundary: a handler that panics
+//! is answered `500`, counted in `/stats` (`server.panics`), and its
+//! worker goes on to the next connection, so one bad request never
+//! costs capacity.
 
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -26,7 +34,8 @@ use tg_json::{JsonObject, JsonValue};
 use tg_sync::{rank_guard, unpoisoned, Rank};
 use tg_zoo::{DatasetId, DatasetRole, Modality, ModelId, ModelZoo, ZooConfig};
 use transfergraph::{
-    CoalesceStats, Coalescer, EvalOptions, EvalOutcome, RegistryStats, Strategy, ZooRegistry,
+    CoalesceStats, Coalescer, EvalOptions, EvalOutcome, RegistryStats, Strategy, TierStats,
+    ZooRegistry,
 };
 
 use crate::http::{parse_request, Response};
@@ -102,14 +111,24 @@ pub struct ServerStats {
     pub recommends: u64,
     /// Successful `POST /score` evaluations.
     pub scores: u64,
+    /// Requests whose handler panicked; each was answered `500` and its
+    /// worker kept serving.
+    pub panics: u64,
 }
 
 impl ServerStats {
     /// One-line rendering for logs and run summaries.
     pub fn render(&self) -> String {
         format!(
-            "serve: {} accepted, {} served, {} shed, {} client errors, {} recommends, {} scores",
-            self.accepted, self.served, self.shed, self.client_errors, self.recommends, self.scores,
+            "serve: {} accepted, {} served, {} shed, {} client errors, {} recommends, {} scores, \
+             {} panics",
+            self.accepted,
+            self.served,
+            self.shed,
+            self.client_errors,
+            self.recommends,
+            self.scores,
+            self.panics,
         )
     }
 }
@@ -137,6 +156,7 @@ struct Shared {
     client_errors: AtomicU64,
     recommends: AtomicU64,
     scores: AtomicU64,
+    panics: AtomicU64,
 }
 
 impl Shared {
@@ -194,13 +214,34 @@ impl Shared {
         drain_briefly(&conn);
     }
 
+    /// Serves one connection inside an unwind boundary: a panic
+    /// anywhere in [`handle`](Shared::handle) is caught, counted and
+    /// answered `500`, and the calling worker survives it.
+    fn serve(&self, conn: TcpStream) {
+        // AssertUnwindSafe: every lock the handler can take is read
+        // through `unpoisoned`, the coalescer abandons (and the outcome
+        // memo skips) a pass that unwinds, and the counters are atomics,
+        // so no state a later request reads is left half-updated.
+        if catch_unwind(AssertUnwindSafe(|| self.handle(&conn))).is_ok() {
+            return;
+        }
+        // Relaxed: independent telemetry counters.
+        self.panics.fetch_add(1, Ordering::Relaxed);
+        self.served.fetch_add(1, Ordering::Relaxed);
+        let mut w = &conn;
+        // tg-check: allow(tg09, reason = "client may have hung up; nothing to do with a failed reply")
+        let _ =
+            Response::error(500, "internal error: the request handler panicked").write_to(&mut w);
+        drain_briefly(&conn);
+    }
+
     /// Serves one connection end to end: parse, route, respond.
-    fn handle(&self, conn: TcpStream) {
+    fn handle(&self, conn: &TcpStream) {
         // tg-check: allow(tg09, reason = "timeouts are defense in depth; serving without them is still correct")
         let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
         // tg-check: allow(tg09, reason = "timeouts are defense in depth; serving without them is still correct")
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-        let response = match parse_request(&mut BufReader::new(&conn)) {
+        let response = match parse_request(&mut BufReader::new(conn)) {
             Ok(request) => self.route(&request),
             Err(err) => Response::error(err.status(), err.message()),
         };
@@ -211,13 +252,13 @@ impl Shared {
         // Relaxed: independent telemetry counter.
         self.served.fetch_add(1, Ordering::Relaxed);
         let is_client_error = (400..500).contains(&response.status);
-        let mut w = &conn;
+        let mut w = conn;
         // tg-check: allow(tg09, reason = "client may have hung up; nothing to do with a failed reply")
         let _ = response.write_to(&mut w);
         if is_client_error {
             // A 4xx may leave request bytes unread (parse errors bail
             // early); drain them so close sends FIN, not RST.
-            drain_briefly(&conn);
+            drain_briefly(conn);
         }
     }
 
@@ -345,6 +386,7 @@ impl Shared {
             client_errors: self.client_errors.load(Ordering::Relaxed),
             recommends: self.recommends.load(Ordering::Relaxed),
             scores: self.scores.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 }
@@ -411,6 +453,20 @@ pub fn strategy_from_name(name: &str) -> Option<Strategy> {
         "lr" => Some(Strategy::lr_baseline()),
         "lr-all-logme" => Some(Strategy::lr_all_logme()),
         "tg" => Some(Strategy::transfer_graph_default()),
+        // A graph strategy without graph features: `evaluate`'s
+        // `validate` panics on it, which is how the tests reach the
+        // unwind boundary through the real (memoized) evaluation path.
+        #[cfg(test)]
+        "test-panic" => match Strategy::transfer_graph_default() {
+            Strategy::TransferGraph {
+                regressor, learner, ..
+            } => Some(Strategy::TransferGraph {
+                regressor,
+                learner,
+                features: transfergraph::FeatureSet::MetadataOnly,
+            }),
+            other => Some(other),
+        },
         _ => None,
     }
 }
@@ -476,6 +532,15 @@ pub fn score_body(fingerprint: u64, model: &str, target: &str, logme: f64) -> Js
         .f64("logme", logme)
 }
 
+/// One tier row of the `/stats` `outcome` section.
+fn tier_row(s: &TierStats) -> JsonObject {
+    JsonObject::new()
+        .u64("hits", s.hits)
+        .u64("misses", s.misses)
+        .u64("entries", s.entries)
+        .u64("bytes", s.bytes)
+}
+
 /// Renders the `GET /stats` response body.
 pub fn stats_body(
     server: &ServerStats,
@@ -491,7 +556,8 @@ pub fn stats_body(
                 .u64("shed", server.shed)
                 .u64("client_errors", server.client_errors)
                 .u64("recommends", server.recommends)
-                .u64("scores", server.scores),
+                .u64("scores", server.scores)
+                .u64("panics", server.panics),
         )
         .object(
             "coalesce",
@@ -517,6 +583,12 @@ pub fn stats_body(
                 .u64("self_slot", registry.shard_self)
                 .u64("resident_owned", registry.resident_owned)
                 .u64("resident_foreign", registry.resident_foreign),
+        )
+        .object(
+            "outcome",
+            JsonObject::new()
+                .object("memory", tier_row(&registry.outcome_memory))
+                .object("disk", tier_row(&registry.outcome_disk)),
         )
 }
 
@@ -567,6 +639,7 @@ impl Server {
             client_errors: AtomicU64::new(0),
             recommends: AtomicU64::new(0),
             scores: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -591,7 +664,7 @@ impl Server {
                 let worker_shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     while let Some(conn) = worker_shared.pop() {
-                        worker_shared.handle(conn);
+                        worker_shared.serve(conn);
                     }
                 })
             })
@@ -749,7 +822,60 @@ mod tests {
     }
 
     #[test]
-    fn stats_body_nests_all_four_sections() {
+    fn a_panicking_request_is_answered_500_and_its_worker_survives() {
+        use std::io::{Read, Write};
+        use transfergraph::RegistryOptions;
+
+        let registry = Arc::new(ZooRegistry::new(RegistryOptions::default()));
+        // One worker: if a panic killed it, the next request would sit in
+        // the queue forever and the read timeout below would fail the test.
+        let opts = ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            max_conns: 1,
+            batch_window_ms: 0,
+        };
+        let server = Server::start(Arc::clone(&registry), &opts).unwrap();
+        let zoo = registry.get_or_build(&ZooConfig::small(41));
+        let target = zoo.zoo().dataset(zoo.zoo().targets_of(Modality::Image)[0]);
+        let send = |strategy: &str| {
+            let body = format!(
+                r#"{{"seed": 41, "scale": "small", "target": "{}", "strategy": "{strategy}"}}"#,
+                target.name
+            );
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            write!(
+                conn,
+                "POST /recommend HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .unwrap();
+            let mut reply = String::new();
+            conn.read_to_string(&mut reply).unwrap();
+            reply
+        };
+
+        for _ in 0..2 {
+            let reply = send("test-panic");
+            assert!(reply.starts_with("HTTP/1.1 500"), "got: {reply}");
+        }
+        assert_eq!(server.stats().panics, 2);
+        assert_eq!(
+            registry.stats().outcome_memory.entries,
+            0,
+            "an abandoned evaluation memoizes nothing"
+        );
+
+        let reply = send("lr");
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "got: {reply}");
+        let stats = server.stats();
+        assert_eq!((stats.panics, stats.served, stats.recommends), (2, 3, 1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_body_nests_all_five_sections() {
         let body = stats_body(
             &ServerStats {
                 accepted: 3,
@@ -768,7 +894,7 @@ mod tests {
         )
         .render();
         let parsed = JsonValue::parse(&body).unwrap();
-        for section in ["server", "coalesce", "registry", "shard"] {
+        for section in ["server", "coalesce", "registry", "shard", "outcome"] {
             assert!(parsed.get(section).is_some(), "missing section {section}");
         }
         assert_eq!(

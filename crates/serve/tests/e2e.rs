@@ -270,3 +270,77 @@ fn saturated_server_sheds_with_retry_after() {
     assert!(server.stats().shed > 0);
     server.shutdown();
 }
+
+/// The outcome memo survives a restart: a `tg` recommend computed and
+/// persisted by one registry is served by a fresh server over the same
+/// artifact directory straight from the Outcome disk tier —
+/// byte-identical to the evaluation rendered through `recommend_body`,
+/// with no evaluation work at all. The first recommend goes through
+/// `Coalescer::evaluate`, the server's own path minus the socket, whose
+/// leader runs exactly `evaluate`; a second, registry-free `tg`
+/// evaluation would double the test's cost in a debug build.
+#[test]
+fn persisted_outcome_serves_a_restarted_server_without_evaluating() {
+    use std::time::Duration;
+    use transfergraph::{ArtifactKind, Coalescer, RegistryOptions, TierKind};
+
+    let dir = std::env::temp_dir().join(format!("tg-serve-outcome-memo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let in_dir = || {
+        Arc::new(ZooRegistry::new(RegistryOptions {
+            artifact_dir: Some(dir.clone()),
+            ..RegistryOptions::default()
+        }))
+    };
+    let config = ZooConfig::small(13);
+    let tg = Strategy::transfer_graph_default();
+
+    let first = in_dir();
+    let handle = first.get_or_build(&config);
+    let zoo = handle.zoo();
+    let target = zoo.targets_of(tg_zoo::Modality::Image)[0];
+    let outcome =
+        Coalescer::new(Duration::ZERO).evaluate(&handle, &tg, target, &EvalOptions::default());
+    let expected = recommend_body(zoo, config.fingerprint(), &outcome, 5).render();
+    let body = format!(
+        r#"{{"seed": 13, "scale": "small", "target": "{}", "strategy": "tg"}}"#,
+        zoo.dataset(target).name
+    );
+    first.persist_all().expect("persist the first registry");
+    drop(handle);
+    drop(first);
+
+    let reopened = in_dir();
+    let opts = ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        max_conns: 1,
+        batch_window_ms: 0,
+    };
+    let server = Server::start(Arc::clone(&reopened), &opts).expect("bind ephemeral port");
+    let reply = post(server.local_addr(), "/recommend", &body);
+    server.shutdown();
+    assert_eq!(status_of(&reply), 200, "recommend: {reply}");
+    assert_eq!(
+        body_of(&reply),
+        expected,
+        "the memoized body must match the evaluation's"
+    );
+
+    let handle = reopened.get_or_build(&config);
+    let disk_hits: u64 = handle
+        .store()
+        .tier_stats()
+        .into_iter()
+        .filter(|(kind, tier, _)| *kind == ArtifactKind::Outcome && *tier != TierKind::Memory)
+        .map(|(_, _, s)| s.hits)
+        .sum();
+    assert_eq!(disk_hits, 1, "the outcome came from the disk tier");
+    let stats = handle.workbench().stats();
+    assert_eq!(stats.logme_kernel.0, 0, "no LogME kernel ran");
+    assert_eq!(
+        stats.logme,
+        (0, 0),
+        "evaluate never ran: no LogME lookup at all"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
