@@ -404,8 +404,7 @@ impl ArtifactKind {
 // Options
 // ---------------------------------------------------------------------------
 
-/// How an [`ArtifactStore`] backs itself, replacing the positional
-/// `with_dir`-style constructors of the v1 surface.
+/// How an [`ArtifactStore`] backs itself.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// Artifact directory; `None` means memory-only.
@@ -597,24 +596,6 @@ impl ArtifactStore {
         store
     }
 
-    /// Store with a disk tier rooted at `dir`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ArtifactStore::open(fp, StoreOptions::in_dir(dir))`"
-    )]
-    pub fn with_dir(fingerprint: u64, dir: impl Into<PathBuf>) -> Self {
-        Self::open(fingerprint, StoreOptions::in_dir(dir))
-    }
-
-    /// Store configured from the environment.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ArtifactStore::open(fp, StoreOptions::from_env())`"
-    )]
-    pub fn from_env(fingerprint: u64) -> Self {
-        Self::open(fingerprint, StoreOptions::from_env())
-    }
-
     /// The artifact directory, when a disk tier is configured.
     pub fn dir(&self) -> Option<&Path> {
         self.options.dir.as_deref()
@@ -659,12 +640,6 @@ impl ArtifactStore {
             + self.warm_cache(&self.t2v_embed, &dir)
             + self.warm_cache(&self.similarity, &dir)
             + self.warm_cache(&self.outcome, &dir)
-    }
-
-    /// Former name of [`warm`](ArtifactStore::warm).
-    #[deprecated(since = "0.1.0", note = "renamed to `ArtifactStore::warm`")]
-    pub fn warm_from_disk(&self) -> usize {
-        self.warm()
     }
 
     /// Writes every cache to the artifact directory, one `TGARTv2` file
@@ -1404,19 +1379,5 @@ mod tests {
         assert_eq!(store.disk_stats(), DiskStats::default());
         assert_eq!(store.persist().unwrap(), PersistStats::default());
         assert_eq!(store.warm(), 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let dir = temp_store_dir("shims");
-        let store = ArtifactStore::with_dir(0xAA, &dir);
-        store
-            .logme
-            .get_or_insert_with((ModelId(0), DatasetId(0)), true, || 3.0);
-        store.persist().unwrap();
-        let warm = ArtifactStore::with_dir(0xAA, &dir);
-        assert_eq!(warm.warm_from_disk(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,12 +2,11 @@
 //! workspace-wide [`tg_sync`] leaf crate.
 //!
 //! The tracker used to live here, but the lock table spans crates on
-//! *both* sides of this one: `tg-linalg`'s per-column Jacobi locks
-//! (rank `jacobi_col`) sit below it and `tg-serve`'s connection queue
-//! (rank `conn_queue`) above it. Extracting the tracker into `tg-sync`
-//! (a dependency-free leaf) turned those two formerly static-only ranks
-//! into runtime-enforced ones: every crate in the workspace now takes
-//! the same `rank_guard` before its ranked lock calls, and Condvar
+//! both sides of this one: `tg-serve`'s connection queue (rank
+//! `conn_queue`, 7) sits above it. Extracting the tracker into `tg-sync`
+//! (a dependency-free leaf) turned that formerly static-only rank into
+//! a runtime-enforced one: every crate in the workspace now takes the
+//! same `rank_guard` before its ranked lock calls, and Condvar
 //! waits release their rank for the park and re-assert it on wake via
 //! [`RankGuard::suspended`].
 //!

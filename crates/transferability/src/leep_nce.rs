@@ -3,7 +3,7 @@
 
 use tg_linalg::Matrix;
 
-use crate::scorer::{shim_error, Labels, Leep, ScoreError, Scorer};
+use crate::scorer::{Labels, ScoreError};
 
 /// Fallible LEEP implementation behind [`crate::Leep`]: `source_probs` is
 /// the `n × Z` source-head soft-prediction matrix (rows sum to 1).
@@ -50,9 +50,8 @@ pub(crate) fn leep_impl(source_probs: &Matrix, labels: &Labels) -> Result<f64, S
     Ok(total / n as f64)
 }
 
-/// Fallible NCE implementation shared by [`crate::Nce`] (which derives the
-/// hard pseudo-labels by argmax) and the deprecated [`nce`] shim (which
-/// takes them directly).
+/// Fallible NCE implementation behind [`crate::Nce`], which derives the
+/// hard pseudo-labels `source_labels` by row-wise argmax.
 pub(crate) fn nce_impl(
     source_labels: &[usize],
     labels: &Labels,
@@ -102,47 +101,21 @@ pub(crate) fn nce_impl(
     Ok(nce)
 }
 
-/// LEEP: log expected empirical prediction.
-///
-/// Given the source-head soft predictions `θ` (`n × Z`, rows sum to 1) and
-/// target labels `y`, LEEP builds the empirical joint `P(y, z)`, forms the
-/// conditional `P(y | z)`, and scores the mean log-likelihood of the target
-/// labels under the composed classifier `x ↦ Σ_z P(y|z) θ(x)_z`.
-#[deprecated(note = "use `Leep` through the `Scorer` trait")]
-pub fn leep(source_probs: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let scored =
-        Labels::new(labels, num_classes).and_then(|labels| Leep.score(source_probs, &labels));
-    assert!(scored.is_ok(), "leep: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
-/// NCE: negative conditional entropy `−H(Y | Z)` of target labels given
-/// hard source pseudo-labels. Higher (closer to 0) is better.
-#[deprecated(note = "use `Nce` through the `Scorer` trait (it derives the argmax pseudo-labels)")]
-pub fn nce(
-    source_labels: &[usize],
-    labels: &[usize],
-    num_source_classes: usize,
-    num_classes: usize,
-) -> f64 {
-    let scored = Labels::new(labels, num_classes)
-        .and_then(|labels| nce_impl(source_labels, &labels, num_source_classes));
-    assert!(scored.is_ok(), "nce: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorer::Nce;
+    use crate::scorer::{Leep, Nce, Scorer};
     use tg_rng::Rng;
 
     fn leep(p: &Matrix, y: &[usize], c: usize) -> f64 {
         Leep.score(p, &Labels::new(y, c).unwrap()).unwrap()
     }
 
+    /// NCE of hard pseudo-labels `zs` through the `Nce` scorer: a one-hot
+    /// source-probability matrix has `zs` as its unique row-wise argmax.
     fn nce(zs: &[usize], y: &[usize], zc: usize, c: usize) -> f64 {
-        nce_impl(zs, &Labels::new(y, c).unwrap(), zc).unwrap()
+        let probs = Matrix::from_fn(zs.len(), zc, |r, z| if zs[r] == z { 1.0 } else { 0.0 });
+        Nce.score(&probs, &Labels::new(y, c).unwrap()).unwrap()
     }
 
     /// Source predictions that reveal the target label with probability
