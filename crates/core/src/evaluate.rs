@@ -486,6 +486,32 @@ mod tests {
         assert!(stats.stage(Stage::Regression) > std::time::Duration::ZERO);
     }
 
+    /// Pins the prediction bits of the paper's headline strategy
+    /// (`TG:XGB,N2V+,all`) end to end: walks, skip-gram, feature assembly
+    /// and the XGB fit. A change that moves these bits must bump
+    /// `OUTCOME_BITS_VERSION`, or persisted outcomes go stale.
+    #[test]
+    fn transfer_graph_default_outcome_bits_are_pinned() {
+        let zoo = setup();
+        let wb = Workbench::new(&zoo);
+        let target = zoo.targets_of(Modality::Image)[0];
+        let out = evaluate(
+            &wb,
+            &Strategy::transfer_graph_default(),
+            target,
+            &EvalOptions::default(),
+        );
+        let hash = out
+            .predictions
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+            });
+        assert_eq!(hash, 0x3f81_a7cd_6187_093d);
+    }
+
     #[test]
     #[should_panic(expected = "is not a target dataset")]
     fn rejects_source_dataset_targets() {

@@ -292,6 +292,34 @@ mod tests {
         assert_eq!(fnv1a_bits(emb.as_slice()), 0xb34a_2fe5_9bc4_ea7d);
     }
 
+    /// Pins the output bits at the paper's SGNS shape (dim 128, 5
+    /// negatives) on a corpus over 240 nodes, where nearly every
+    /// (center, context) pair draws pairwise-distinct targets — the case
+    /// the independent-accumulator dot products serve.
+    #[test]
+    fn train_sgns_distinct_target_bits_are_pinned() {
+        let mut rng = Rng::seed_from_u64(12);
+        let n = 240;
+        let walks: Vec<Vec<usize>> = (0..60)
+            .map(|_| {
+                let mut at = rng.index(n);
+                (0..16)
+                    .map(|_| {
+                        at = (at + 1 + rng.index(7)) % n;
+                        at
+                    })
+                    .collect()
+            })
+            .collect();
+        let cfg = SgnsConfig {
+            dim: 128,
+            epochs: 2,
+            ..Default::default()
+        };
+        let emb = train_sgns(&walks, n, &cfg, &mut rng);
+        assert_eq!(fnv1a_bits(emb.as_slice()), 0x2d73_178b_0ab9_cbef);
+    }
+
     #[test]
     fn deterministic_given_rng() {
         let walks = vec![vec![0, 1, 2, 1, 0], vec![2, 1, 0, 1, 2]];

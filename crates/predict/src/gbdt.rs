@@ -425,6 +425,31 @@ mod tests {
         assert!(imp[1] > 0.5, "importances {imp:?}");
     }
 
+    /// FNV-1a over the little-endian bits of every value.
+    fn fnv1a_bits(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// Pins the exact prediction bits of the paper configuration (500
+    /// rounds, depth 5, `colsample_bytree` 0.7) on an input large enough
+    /// for the split search to run across column chunks in parallel, so
+    /// an optimisation of the fit cannot silently change results (and
+    /// with them every persisted outcome).
+    #[test]
+    fn gbdt_output_bits_are_pinned() {
+        let mut rng = Rng::seed_from_u64(21);
+        let (x, y) = friedmanish(&mut rng, 10_000);
+        let (xt, _) = friedmanish(&mut rng, 300);
+        let mut gb = Gbdt::default();
+        assert!(gb.colsample_bytree < 1.0);
+        gb.fit(&x, &y, &mut rng);
+        assert_eq!(fnv1a_bits(&gb.predict(&xt)), 0x3a81_61dc_cfd0_1a9f);
+    }
+
     #[test]
     fn paper_hyperparameters_run() {
         // Smoke-test the full 500×5 configuration on a small input.
