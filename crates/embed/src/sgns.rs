@@ -123,6 +123,10 @@ impl SgnsModel {
         let total_steps = (epochs * walks.len()).max(1);
         let mut step = 0usize;
         let mut grad_in = vec![0.0f64; cfg.dim];
+        // Per-pair targets (context first, then the drawn negatives that
+        // are not the context) and their dot products with the center.
+        let mut targets = Vec::with_capacity(cfg.negatives + 1);
+        let mut dots = Vec::with_capacity(cfg.negatives + 1);
         for _epoch in 0..epochs {
             for walk in walks {
                 let progress = step as f64 / total_steps as f64;
@@ -136,25 +140,42 @@ impl SgnsModel {
                             continue;
                         }
                         let context = walk[j];
-                        grad_in.iter_mut().for_each(|g| *g = 0.0);
-                        // Positive pair + negatives.
-                        for k in 0..=cfg.negatives {
-                            let (target, label) = if k == 0 {
-                                (context, 1.0)
-                            } else {
-                                (neg_table.sample(rng), 0.0)
-                            };
-                            if k > 0 && target == context {
-                                continue; // skip accidental positives
+                        // Draw every negative up front, in the order a
+                        // one-target-at-a-time loop would, skipping
+                        // accidental positives. Nothing below touches `rng`.
+                        targets.clear();
+                        targets.push(context);
+                        for _ in 0..cfg.negatives {
+                            let target = neg_table.sample(rng);
+                            if target != context {
+                                targets.push(target);
                             }
-                            // `w_in` and `w_out` are separate matrices, so
-                            // the input row can be read while the output
-                            // row is borrowed mutably — no per-sample copy.
-                            let vi = self.w_in.row(center);
+                        }
+                        // `w_in` and `w_out` are separate matrices, so the
+                        // input row can be read while an output row is
+                        // borrowed mutably — no per-sample copy.
+                        let vi = self.w_in.row(center);
+                        // Distinct targets read output rows no earlier
+                        // update touches, so their dots can all be taken
+                        // up front; a repeated target must see the update
+                        // of its first occurrence, so it is dotted in turn.
+                        let distinct = targets
+                            .iter()
+                            .enumerate()
+                            .all(|(k, t)| !targets[..k].contains(t));
+                        if distinct {
+                            dots_into(vi, &self.w_out, &targets, &mut dots);
+                        }
+                        grad_in.iter_mut().for_each(|g| *g = 0.0);
+                        for (k, &target) in targets.iter().enumerate() {
+                            let label = if k == 0 { 1.0 } else { 0.0 };
                             let vo = self.w_out.row_mut(target);
-                            let dot: f64 = vi.iter().zip(vo.iter()).map(|(a, b)| a * b).sum();
-                            let pred = sigmoid(dot);
-                            let g = (pred - label) * lr;
+                            let dot: f64 = if distinct {
+                                dots[k]
+                            } else {
+                                vi.iter().zip(vo.iter()).map(|(a, b)| a * b).sum()
+                            };
+                            let g = (sigmoid(dot) - label) * lr;
                             // Accumulate the input grad from the old output
                             // value, then update the output row in place.
                             for ((gi, o), &x) in grad_in.iter_mut().zip(vo.iter_mut()).zip(vi) {
@@ -170,6 +191,33 @@ impl SgnsModel {
                 }
             }
         }
+    }
+}
+
+/// Dot products computed side by side in [`dots_into`].
+const DOT_LANES: usize = 8;
+
+/// Sets `dots[k] = vi · w_out.row(targets[k])`.
+///
+/// Each dot is the same left fold over `d = 0..dim`, starting from `-0.0`,
+/// that `Iterator::sum` performs, so every result is bit-identical to the
+/// one-at-a-time `sum()`; running up to [`DOT_LANES`] independent folds in
+/// one pass overlaps their add latencies instead of chaining 128 adds per
+/// target. A short group repeats its last row, and the repeat is dropped.
+fn dots_into(vi: &[f64], w_out: &Matrix, targets: &[usize], dots: &mut Vec<f64>) {
+    let dim = vi.len();
+    dots.clear();
+    for group in targets.chunks(DOT_LANES) {
+        let rows: [&[f64]; DOT_LANES] =
+            std::array::from_fn(|l| &w_out.row(group[l.min(group.len() - 1)])[..dim]);
+        let mut acc = [-0.0f64; DOT_LANES];
+        for d in 0..dim {
+            let x = vi[d];
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += x * row[d];
+            }
+        }
+        dots.extend_from_slice(&acc[..group.len()]);
     }
 }
 
@@ -318,6 +366,29 @@ mod tests {
         };
         let emb = train_sgns(&walks, n, &cfg, &mut rng);
         assert_eq!(fnv1a_bits(emb.as_slice()), 0x2d73_178b_0ab9_cbef);
+    }
+
+    /// Side-by-side dots equal `Iterator::sum` bit for bit, including the
+    /// sign of an all-negative-zero sum and groups past [`DOT_LANES`].
+    #[test]
+    fn dots_match_iterator_sum_bitwise() {
+        let mut rng = Rng::seed_from_u64(13);
+        let mut w_out = Matrix::from_fn(12, 37, |_, _| rng.normal(0.0, 1.0));
+        w_out.row_mut(3).iter_mut().for_each(|v| *v = -1.0);
+        for vi in [
+            (0..37).map(|_| rng.normal(0.0, 1.0)).collect::<Vec<f64>>(),
+            vec![0.0; 37],
+        ] {
+            for targets in [vec![3], vec![0, 3, 5], (0..12).rev().collect()] {
+                let mut dots = Vec::new();
+                dots_into(&vi, &w_out, &targets, &mut dots);
+                assert_eq!(dots.len(), targets.len());
+                for (&t, dot) in targets.iter().zip(&dots) {
+                    let sum: f64 = vi.iter().zip(w_out.row(t)).map(|(a, b)| a * b).sum();
+                    assert_eq!(dot.to_bits(), sum.to_bits(), "target {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,15 @@
 //!
 //! Split candidates come from per-feature quantile histograms (XGBoost's
 //! `hist` algorithm), which keeps a 500-tree fit over a few hundred features
-//! fast.
+//! fast. The fit bins the training matrix once into row-major byte codes
+//! and grows each tree level by level, spreading the histogram pass of a
+//! large level over the available cores. The fitted trees are the same
+//! bits at any core count: every sum keeps its sequential order (DESIGN.md,
+//! "Kernel invariants").
 
 use crate::Regressor;
+use std::num::NonZeroUsize;
+use std::ops::Range;
 use tg_linalg::Matrix;
 use tg_rng::Rng;
 
@@ -31,7 +37,7 @@ pub struct Gbdt {
     pub gamma: f64,
     /// Minimum hessian sum per child (≈ min samples for squared error).
     pub min_child_weight: f64,
-    /// Histogram bins per feature.
+    /// Histogram bins per feature, in `1..=256` (bin codes are bytes).
     pub n_bins: usize,
     /// Fraction of features sampled per tree.
     pub colsample_bytree: f64,
@@ -164,51 +170,28 @@ fn bin_of(edges: &[f64], v: f64) -> usize {
     edges.partition_point(|&e| e < v)
 }
 
+/// Smallest split search (rows × sampled columns, summed over a tree
+/// level) worth spreading across threads: one scoped spawn costs tens of
+/// microseconds, about as much as this many histogram updates.
+const PAR_MIN_CELLS: usize = 1 << 15;
+
+/// Sampled columns whose histograms are built in one pass over a node's
+/// rows (see [`Blocks`]).
+const BLOCK: usize = 8;
+
+/// Histogram cells per block column. Every `u8` code indexes it without a
+/// bounds check; 260 rather than 256 keeps the columns of one block off
+/// the same L1 cache sets.
+const HIST_CELLS: usize = 260;
+
 impl Regressor for Gbdt {
     fn name(&self) -> &'static str {
         "XGB"
     }
 
     fn fit(&mut self, x: &Matrix, y: &[f64], rng: &mut Rng) {
-        let (n, f) = x.shape();
-        assert_eq!(n, y.len(), "Gbdt::fit: row/target mismatch");
-        assert!(n > 0, "Gbdt::fit: empty input");
-
-        // Freeze bin edges and pre-bin the training matrix.
-        self.bin_edges = (0..f)
-            .map(|j| {
-                let mut col: Vec<f64> = (0..n).map(|i| x.get(i, j)).collect();
-                quantile_edges(&mut col, self.n_bins)
-            })
-            .collect();
-        let bins: Vec<Vec<u16>> = (0..f)
-            .map(|j| {
-                (0..n)
-                    .map(|i| bin_of(&self.bin_edges[j], x.get(i, j)) as u16)
-                    .collect()
-            })
-            .collect();
-
-        self.base_score = tg_linalg::stats::mean(y);
-        let mut pred = vec![self.base_score; n];
-        self.trees = Vec::with_capacity(self.n_rounds);
-        let n_cols = ((f as f64 * self.colsample_bytree).ceil() as usize).clamp(1, f);
-
-        for _round in 0..self.n_rounds {
-            // Squared error: g = pred − y, h = 1.
-            let grad: Vec<f64> = pred.iter().zip(y).map(|(p, t)| p - t).collect();
-            let cols = if n_cols < f {
-                rng.sample_indices(f, n_cols)
-            } else {
-                (0..f).collect()
-            };
-            let tree = self.build_tree(&bins, &grad, &cols);
-            // Update predictions.
-            for i in 0..n {
-                pred[i] += self.eta * tree_predict_binned(&tree, &bins, i, &self.bin_edges);
-            }
-            self.trees.push(tree);
-        }
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.fit_on(x, y, rng, workers);
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
@@ -225,119 +208,361 @@ impl Regressor for Gbdt {
     }
 }
 
-/// Predict a training row through a tree using the pre-binned matrix (bin
-/// thresholds are stored as real-valued feature thresholds, so we map the
-/// row's bin back through the edges).
-fn tree_predict_binned(tree: &GbdtTree, bins: &[Vec<u16>], row: usize, edges: &[Vec<f64>]) -> f64 {
-    let mut i = 0;
-    loop {
-        match &tree.nodes[i] {
-            GNode::Leaf { weight } => return *weight,
-            GNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                // Recover the bin threshold from the value threshold.
-                let bin = bins[*feature][row] as usize;
-                let tbin = bin_of(&edges[*feature], *threshold);
-                i = if bin <= tbin { *left } else { *right };
+/// A split candidate: (feature, bin, gain).
+type Split = (usize, usize, f64);
+
+/// Keeps `cand` if it beats `best` strictly (or, with no best yet, beats
+/// the 1e-12 floor), so the first of several equal gains wins.
+#[inline]
+fn offer(best: &mut Option<Split>, cand: Split) {
+    if cand.2 > best.map_or(1e-12, |(_, _, g)| g) {
+        *best = Some(cand);
+    }
+}
+
+/// A node awaiting its split decision in the level-wise build: its slot in
+/// the tree, its rows `order[lo..hi]` (ascending) and their gradient sum.
+struct Pending {
+    slot: usize,
+    lo: usize,
+    hi: usize,
+    g_total: f64,
+}
+
+/// How a fit splits the `n_cols` sampled columns of each tree: into one
+/// contiguous chunk per worker, and each chunk into blocks of at most
+/// [`BLOCK`] columns. The layout depends only on `n_cols` and the worker
+/// count, never on which columns a tree samples.
+struct Blocks {
+    /// Column range (positions in the tree's sample) of each block, in
+    /// column order.
+    cols: Vec<Range<usize>>,
+    /// Block range of each worker chunk, in column order.
+    chunks: Vec<Range<usize>>,
+}
+
+impl Blocks {
+    fn new(n_cols: usize, workers: usize) -> Self {
+        let chunk_len = n_cols.div_ceil(workers.clamp(1, n_cols.max(1)));
+        let mut blocks = Blocks {
+            cols: Vec::new(),
+            chunks: Vec::new(),
+        };
+        for start in (0..n_cols).step_by(chunk_len.max(1)) {
+            let end = (start + chunk_len).min(n_cols);
+            let first = blocks.cols.len();
+            for lo in (start..end).step_by(BLOCK) {
+                blocks.cols.push(lo..(lo + BLOCK).min(end));
             }
+            blocks.chunks.push(first..blocks.cols.len());
+        }
+        blocks
+    }
+}
+
+/// Read-only inputs of one tree's split search.
+struct SplitSearch<'a> {
+    gbdt: &'a Gbdt,
+    /// Training bin codes, row-major: `codes[i * width + j]`.
+    codes: &'a [u8],
+    width: usize,
+    grad: &'a [f64],
+    /// The tree's sampled columns, in sampling order.
+    cols: &'a [usize],
+    blocks: &'a Blocks,
+    /// The sampled columns' codes gathered per block: block `b` holds row
+    /// `i` at `block_codes[b * n + i]`, padded with code 0 past the
+    /// block's last column.
+    block_codes: &'a [[u8; BLOCK]],
+}
+
+/// One worker's histogram scratch and its per-node best splits.
+struct SearchSlot {
+    /// `[g, h]` per (block column, bin).
+    hist: Box<[[[f64; 2]; HIST_CELLS]; BLOCK]>,
+    best: Vec<Option<Split>>,
+}
+
+impl SearchSlot {
+    fn new() -> Self {
+        SearchSlot {
+            hist: Box::new([[[0.0; 2]; HIST_CELLS]; BLOCK]),
+            best: Vec::new(),
         }
     }
 }
 
-impl Gbdt {
-    /// Builds one tree on gradient/hessian statistics using per-node
-    /// histograms. `h = 1` for every sample (squared error), so the hessian
-    /// sum is the sample count.
-    fn build_tree(&self, bins: &[Vec<u16>], grad: &[f64], cols: &[usize]) -> GbdtTree {
-        let n = grad.len();
-        let mut tree = GbdtTree { nodes: Vec::new() };
-        let rows: Vec<usize> = (0..n).collect();
-        self.build_node(&mut tree, bins, grad, cols, rows, 0);
-        tree
+impl SplitSearch<'_> {
+    /// Best split of every open node over the columns of `blocks`, in
+    /// `slot`.
+    ///
+    /// Each histogram cell sums its rows in ascending row order, and each
+    /// node offers its candidates in column order, bins ascending, through
+    /// [`offer`] — the order of a one-feature-at-a-time search — so the
+    /// result is bit-identical to it.
+    fn run(&self, order: &[usize], open: &[Pending], blocks: Range<usize>, slot: &mut SearchSlot) {
+        let gb = self.gbdt;
+        let n = self.grad.len();
+        let SearchSlot { hist, best } = slot;
+        best.clear();
+        best.resize(open.len(), None);
+        for b in blocks {
+            let cols = &self.cols[self.blocks.cols[b].clone()];
+            let codes = &self.block_codes[b * n..(b + 1) * n];
+            // Bins in use per block column; padding only ever sees code 0.
+            let used: [usize; BLOCK] =
+                std::array::from_fn(|k| cols.get(k).map_or(1, |&f| gb.bin_edges[f].len() + 1));
+            for (node, node_best) in open.iter().zip(best.iter_mut()) {
+                for (cells, &u) in hist.iter_mut().zip(&used) {
+                    cells[..u].fill([0.0, 0.0]);
+                }
+                for &i in &order[node.lo..node.hi] {
+                    let g = self.grad[i];
+                    for (cells, &code) in hist.iter_mut().zip(&codes[i]) {
+                        let cell = &mut cells[code as usize];
+                        *cell = [cell[0] + g, cell[1] + 1.0];
+                    }
+                }
+                let g_total = node.g_total;
+                let h_total = (node.hi - node.lo) as f64;
+                let parent_score = g_total * g_total / (h_total + gb.lambda);
+                for (cells, &feat) in hist.iter().zip(cols) {
+                    let mut gl = 0.0;
+                    let mut hl = 0.0;
+                    // Bins 0..=max_bin; the last one cannot split anything off.
+                    let max_bin = gb.bin_edges[feat].len();
+                    for (bin, &[g, h]) in cells[..max_bin].iter().enumerate() {
+                        gl += g;
+                        hl += h;
+                        let gr = g_total - gl;
+                        let hr = h_total - hl;
+                        if hl < gb.min_child_weight || hr < gb.min_child_weight {
+                            continue;
+                        }
+                        let gain = 0.5
+                            * (gl * gl / (hl + gb.lambda) + gr * gr / (hr + gb.lambda)
+                                - parent_score)
+                            - gb.gamma;
+                        offer(node_best, (feat, bin, gain));
+                    }
+                }
+            }
+        }
     }
 
-    fn build_node(
+    /// Builds one tree level by level and adds `eta ×` its leaf weight to
+    /// `pred` for every training row as the row's leaf is settled. `h = 1`
+    /// for every sample (squared error), so a node's hessian sum is its
+    /// row count.
+    fn build_tree(
         &self,
-        tree: &mut GbdtTree,
-        bins: &[Vec<u16>],
-        grad: &[f64],
-        cols: &[usize],
-        rows: Vec<usize>,
-        depth: usize,
-    ) -> usize {
-        let g_total: f64 = rows.iter().map(|&i| grad[i]).sum();
-        let h_total = rows.len() as f64;
-        let leaf_weight = -g_total / (h_total + self.lambda);
-        if depth >= self.max_depth || h_total < 2.0 * self.min_child_weight {
-            tree.nodes.push(GNode::Leaf {
-                weight: leaf_weight,
-            });
-            return tree.nodes.len() - 1;
+        order: &mut [usize],
+        scratch: &mut Vec<usize>,
+        slots: &mut [SearchSlot],
+        pred: &mut [f64],
+    ) -> GbdtTree {
+        let gb = self.gbdt;
+        for (k, r) in order.iter_mut().enumerate() {
+            *r = k;
         }
-
-        // Histogram per candidate feature.
-        let parent_score = g_total * g_total / (h_total + self.lambda);
-        let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
-        let mut hist_g = vec![0.0f64; self.n_bins + 1];
-        let mut hist_h = vec![0.0f64; self.n_bins + 1];
-        for &feat in cols {
-            hist_g.iter_mut().for_each(|v| *v = 0.0);
-            hist_h.iter_mut().for_each(|v| *v = 0.0);
-            let fb = &bins[feat];
-            for &i in &rows {
-                let b = fb[i] as usize;
-                hist_g[b] += grad[i];
-                hist_h[b] += 1.0;
+        let mut nodes = vec![GNode::Leaf { weight: 0.0 }];
+        let mut level = vec![Pending {
+            slot: 0,
+            lo: 0,
+            hi: order.len(),
+            g_total: order.iter().map(|&i| self.grad[i]).sum(),
+        }];
+        let mut depth = 0;
+        while !level.is_empty() {
+            // Settle the nodes that may not split; search the rest.
+            let mut open = Vec::with_capacity(level.len());
+            for node in level {
+                let h_total = (node.hi - node.lo) as f64;
+                if depth >= gb.max_depth || h_total < 2.0 * gb.min_child_weight {
+                    gb.settle_leaf(&mut nodes, &node, order, pred);
+                } else {
+                    open.push(node);
+                }
             }
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            let max_bin = self.bin_edges[feat].len(); // bins: 0..=max_bin
-            for b in 0..max_bin {
-                gl += hist_g[b];
-                hl += hist_h[b];
-                let gr = g_total - gl;
-                let hr = h_total - hl;
-                if hl < self.min_child_weight || hr < self.min_child_weight {
+            let bests = self.search_level(order, &open, slots);
+            let mut next = Vec::with_capacity(2 * open.len());
+            for (node, best) in open.iter().zip(bests) {
+                let Some((feature, bin, _)) = best else {
+                    gb.settle_leaf(&mut nodes, node, order, pred);
                     continue;
+                };
+                let rows = &mut order[node.lo..node.hi];
+                let n_left = stable_partition(rows, scratch, |i| {
+                    self.codes[i * self.width + feature] as usize <= bin
+                });
+                let mid = node.lo + n_left;
+                let left = nodes.len();
+                nodes.push(GNode::Leaf { weight: 0.0 });
+                nodes.push(GNode::Leaf { weight: 0.0 });
+                // Real-valued threshold: the bin's upper edge.
+                nodes[node.slot] = GNode::Split {
+                    feature,
+                    threshold: gb.bin_edges[feature][bin],
+                    left,
+                    right: left + 1,
+                };
+                for (slot, lo, hi) in [(left, node.lo, mid), (left + 1, mid, node.hi)] {
+                    let g_total = order[lo..hi].iter().map(|&i| self.grad[i]).sum();
+                    next.push(Pending {
+                        slot,
+                        lo,
+                        hi,
+                        g_total,
+                    });
                 }
-                let gain = 0.5
-                    * (gl * gl / (hl + self.lambda) + gr * gr / (hr + self.lambda) - parent_score)
-                    - self.gamma;
-                if gain > best.map_or(1e-12, |(_, _, g)| g) {
-                    best = Some((feat, b, gain));
+            }
+            level = next;
+            depth += 1;
+        }
+        GbdtTree { nodes }
+    }
+
+    /// Best split of every open node. A large enough level runs each
+    /// worker chunk of columns on its own scoped thread (one spawn per
+    /// level, not per node); the per-chunk bests merge in column order
+    /// through [`offer`], which keeps the sequential scan's first-wins
+    /// tie-break.
+    fn search_level(
+        &self,
+        order: &[usize],
+        open: &[Pending],
+        slots: &mut [SearchSlot],
+    ) -> Vec<Option<Split>> {
+        let rows: usize = open.iter().map(|node| node.hi - node.lo).sum();
+        let chunks = &self.blocks.chunks;
+        let Some((first, rest)) = slots.split_first_mut() else {
+            return Vec::new();
+        };
+        let rest = if chunks.len() > 1 && rows * self.cols.len() >= PAR_MIN_CELLS {
+            std::thread::scope(|scope| {
+                for (slot, chunk) in rest.iter_mut().zip(&chunks[1..]) {
+                    scope.spawn(move || self.run(order, open, chunk.clone(), slot));
+                }
+                self.run(order, open, chunks[0].clone(), first);
+            });
+            rest
+        } else {
+            self.run(order, open, 0..self.blocks.cols.len(), first);
+            &mut []
+        };
+        let mut bests = std::mem::take(&mut first.best);
+        for slot in rest.iter() {
+            for (best, &cand) in bests.iter_mut().zip(&slot.best) {
+                if let Some(cand) = cand {
+                    offer(best, cand);
                 }
             }
         }
+        bests
+    }
+}
 
-        let Some((feature, bin, _)) = best else {
-            tree.nodes.push(GNode::Leaf {
-                weight: leaf_weight,
-            });
-            return tree.nodes.len() - 1;
-        };
-        // Real-valued threshold: the bin's upper edge.
-        let threshold = self.bin_edges[feature][bin];
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
-            .iter()
-            .partition(|&&i| (bins[feature][i] as usize) <= bin);
+/// Moves the rows of `rows` for which `left` holds to the front, both
+/// sides keeping their order; returns the size of the left side.
+fn stable_partition(
+    rows: &mut [usize],
+    scratch: &mut Vec<usize>,
+    left: impl Fn(usize) -> bool,
+) -> usize {
+    scratch.clear();
+    let mut n_left = 0;
+    for k in 0..rows.len() {
+        let i = rows[k];
+        if left(i) {
+            rows[n_left] = i;
+            n_left += 1;
+        } else {
+            scratch.push(i);
+        }
+    }
+    rows[n_left..].copy_from_slice(scratch);
+    n_left
+}
 
-        let idx = tree.nodes.len();
-        tree.nodes.push(GNode::Leaf {
-            weight: leaf_weight,
-        }); // placeholder
-        let left = self.build_node(tree, bins, grad, cols, left_rows, depth + 1);
-        let right = self.build_node(tree, bins, grad, cols, right_rows, depth + 1);
-        tree.nodes[idx] = GNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
-        idx
+impl Gbdt {
+    /// [`Regressor::fit`] with the split search spread over at most
+    /// `workers` threads. The fitted model does not depend on `workers`.
+    fn fit_on(&mut self, x: &Matrix, y: &[f64], rng: &mut Rng, workers: usize) {
+        let (n, f) = x.shape();
+        assert_eq!(n, y.len(), "Gbdt::fit: row/target mismatch");
+        assert!(n > 0, "Gbdt::fit: empty input");
+        // Bin codes are bytes, and a bin needs at least one of them.
+        assert!(
+            (1..=256).contains(&self.n_bins),
+            "Gbdt::fit: n_bins must be in 1..=256, got {}",
+            self.n_bins
+        );
+
+        // Freeze bin edges and pre-bin the training matrix, row-major.
+        self.bin_edges = (0..f)
+            .map(|j| {
+                let mut col: Vec<f64> = (0..n).map(|i| x.get(i, j)).collect();
+                quantile_edges(&mut col, self.n_bins)
+            })
+            .collect();
+        let mut codes = vec![0u8; n * f];
+        for (i, row) in codes.chunks_exact_mut(f.max(1)).enumerate() {
+            for (j, code) in row.iter_mut().enumerate() {
+                *code = bin_of(&self.bin_edges[j], x.get(i, j)) as u8;
+            }
+        }
+
+        self.base_score = tg_linalg::stats::mean(y);
+        let mut pred = vec![self.base_score; n];
+        let n_cols = ((f as f64 * self.colsample_bytree).ceil() as usize).clamp(1, f);
+        let blocks = Blocks::new(n_cols, workers);
+        let mut slots: Vec<SearchSlot> = blocks.chunks.iter().map(|_| SearchSlot::new()).collect();
+        let mut block_codes = Vec::with_capacity(blocks.cols.len() * n);
+        let mut order = vec![0usize; n];
+        let mut scratch = Vec::with_capacity(n);
+        let mut trees = Vec::with_capacity(self.n_rounds);
+
+        for _round in 0..self.n_rounds {
+            // Squared error: g = pred − y, h = 1.
+            let grad: Vec<f64> = pred.iter().zip(y).map(|(p, t)| p - t).collect();
+            let cols = if n_cols < f {
+                rng.sample_indices(f, n_cols)
+            } else {
+                (0..f).collect()
+            };
+            block_codes.clear();
+            for range in &blocks.cols {
+                let block = &cols[range.clone()];
+                block_codes.extend(codes.chunks_exact(f).map(|row| {
+                    let mut out = [0u8; BLOCK];
+                    for (o, &c) in out.iter_mut().zip(block) {
+                        *o = row[c];
+                    }
+                    out
+                }));
+            }
+            let search = SplitSearch {
+                gbdt: self,
+                codes: &codes,
+                width: f,
+                grad: &grad,
+                cols: &cols,
+                blocks: &blocks,
+                block_codes: &block_codes,
+            };
+            trees.push(search.build_tree(&mut order, &mut scratch, &mut slots, &mut pred));
+        }
+        self.trees = trees;
+    }
+
+    /// Makes `node` a leaf and credits its weight to the node's rows.
+    fn settle_leaf(&self, nodes: &mut [GNode], node: &Pending, order: &[usize], pred: &mut [f64]) {
+        let h_total = (node.hi - node.lo) as f64;
+        let weight = -node.g_total / (h_total + self.lambda);
+        nodes[node.slot] = GNode::Leaf { weight };
+        for &i in &order[node.lo..node.hi] {
+            pred[i] += self.eta * weight;
+        }
     }
 }
 
@@ -448,6 +673,71 @@ mod tests {
         assert!(gb.colsample_bytree < 1.0);
         gb.fit(&x, &y, &mut rng);
         assert_eq!(fnv1a_bits(&gb.predict(&xt)), 0x3a81_61dc_cfd0_1a9f);
+    }
+
+    /// The split search spreads over column chunks; every worker count
+    /// must grow the same trees, bit for bit.
+    #[test]
+    fn fit_is_identical_at_any_worker_count() {
+        let mut rng = Rng::seed_from_u64(22);
+        let (x, y) = friedmanish(&mut rng, 10_000);
+        // Four sampled columns: the root level alone crosses the threshold.
+        const { assert!(10_000 * 4 >= PAR_MIN_CELLS) };
+        let fit = |workers: usize| {
+            let mut gb = Gbdt::new(12, 5);
+            gb.fit_on(&x, &y, &mut Rng::seed_from_u64(5), workers);
+            let bits: Vec<u64> = gb.predict(&x).iter().map(|p| p.to_bits()).collect();
+            (bits, gb.feature_importance())
+        };
+        let sequential = fit(1);
+        for workers in [2, 3, 5] {
+            assert_eq!(fit(workers), sequential, "{workers} workers");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n_bins must be in 1..=256, got 0")]
+    fn rejects_zero_bins() {
+        let mut rng = Rng::seed_from_u64(23);
+        let (x, y) = friedmanish(&mut rng, 50);
+        let mut gb = Gbdt {
+            n_bins: 0,
+            ..Gbdt::new(2, 2)
+        };
+        gb.fit(&x, &y, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_bins must be in 1..=256, got 257")]
+    fn rejects_more_bins_than_byte_codes() {
+        let mut rng = Rng::seed_from_u64(24);
+        let (x, y) = friedmanish(&mut rng, 50);
+        let mut gb = Gbdt {
+            n_bins: 257,
+            ..Gbdt::new(2, 2)
+        };
+        gb.fit(&x, &y, &mut rng);
+    }
+
+    #[test]
+    fn bin_count_bounds_are_usable() {
+        let mut rng = Rng::seed_from_u64(25);
+        let (x, y) = friedmanish(&mut rng, 600);
+        // One bin: nothing can split, every tree is a single leaf.
+        let mut one = Gbdt {
+            n_bins: 1,
+            ..Gbdt::new(5, 3)
+        };
+        one.fit(&x, &y, &mut rng);
+        assert!(one.feature_importance().iter().all(|&c| c == 0.0));
+        // 256 bins over 600 distinct values: codes reach 255.
+        let mut full = Gbdt {
+            n_bins: 256,
+            ..Gbdt::new(50, 4)
+        };
+        full.fit(&x, &y, &mut rng);
+        assert_eq!(full.bin_edges[0].len(), 255);
+        assert!(r2(&y, &full.predict(&x)) > 0.8);
     }
 
     #[test]
