@@ -242,13 +242,14 @@ struct Blocks {
 }
 
 impl Blocks {
+    /// Layout for `n_cols >= 1` sampled columns over `workers` threads.
     fn new(n_cols: usize, workers: usize) -> Self {
-        let chunk_len = n_cols.div_ceil(workers.clamp(1, n_cols.max(1)));
+        let chunk_len = n_cols.div_ceil(workers.clamp(1, n_cols));
         let mut blocks = Blocks {
             cols: Vec::new(),
             chunks: Vec::new(),
         };
-        for start in (0..n_cols).step_by(chunk_len.max(1)) {
+        for start in (0..n_cols).step_by(chunk_len) {
             let end = (start + chunk_len).min(n_cols);
             let first = blocks.cols.len();
             for lo in (start..end).step_by(BLOCK) {
