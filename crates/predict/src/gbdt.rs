@@ -436,9 +436,9 @@ impl SplitSearch<'_> {
     ) -> Vec<Option<Split>> {
         let rows: usize = open.iter().map(|node| node.hi - node.lo).sum();
         let chunks = &self.blocks.chunks;
-        let Some((first, rest)) = slots.split_first_mut() else {
-            return Vec::new();
-        };
+        // One slot per chunk, and there is always at least one chunk.
+        let (first, rest) = slots.split_at_mut(1);
+        let first = &mut first[0];
         let rest = if chunks.len() > 1 && rows * self.cols.len() >= PAR_MIN_CELLS {
             std::thread::scope(|scope| {
                 for (slot, chunk) in rest.iter_mut().zip(&chunks[1..]) {
